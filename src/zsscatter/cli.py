@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
+from ._output import write_csv
 from .direct import (
     scattering_from_json,
     scattering_to_json,
@@ -20,7 +20,7 @@ from .direct import (
 from .errors import ZSScatterError
 from .inverse import InverseConfig, solve_inverse
 from .numerics import UniformGrid
-from .potentials import PotentialSpec, evaluate, preset_names
+from .potentials import PotentialSpec, decay_check, evaluate, preset_names
 
 __all__ = ["main", "build_parser"]
 
@@ -116,13 +116,22 @@ def _direct_stage(args, parser):
     spec = _parse_potential(args, parser)
     grid = UniformGrid(args.half_width, args.grid_points)
     p = evaluate(spec, grid)
+    for message in decay_check(p):
+        print(f"warning: {message}", file=sys.stderr)
     n_terms = _parse_n(args.n_terms, parser)
-    return solve_direct(
+    sd = solve_direct(
         p,
         rho_max=args.rho_max,
         rho_count=args.rho_count,
         n_terms=n_terms,
     )
+    if sd.meta.get("truncation", {}).get("at_cap"):
+        print(
+            f"warning: truncation order N = {sd.meta['n_terms']} is the cap "
+            f"N_max = {sd.meta['n_max']}; the series may not have converged",
+            file=sys.stderr,
+        )
+    return sd
 
 
 def _inverse_config(args) -> InverseConfig:
@@ -136,17 +145,14 @@ def _inverse_config(args) -> InverseConfig:
 
 
 def _write_inverse_outputs(out_dir, rec, coeffs, info):
-    g = rec.x_grid
-    with open(os.path.join(out_dir, "recovered.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "q_recovered", "q_from_a0", "residual"])
-        for j, x in enumerate(g.nodes):
-            writer.writerow([repr(float(x)), repr(float(rec.chosen[j])),
-                             repr(float(rec.q_from_a0[j])),
-                             repr(float(coeffs.residuals[j]))])
+    write_csv(
+        os.path.join(out_dir, "recovered.csv"),
+        ["x", "q_recovered", "q_from_a0", "residual"],
+        [rec.x_grid.nodes, rec.chosen, rec.q_from_a0, coeffs.residuals],
+    )
     summary = {
         "chosen_N": info["chosen_N"],
+        "collocation_count": info["collocation_count"],
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],

@@ -7,7 +7,6 @@ from them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "compute_coefficients",
     "select_truncation_direct",
     "tail_estimate",
-    "dump_coefficients_csv",
 ]
 
 DEFAULT_N_MAX = 250
@@ -147,21 +145,3 @@ def tail_estimate(table: CoefficientTable, N: int, x_index: int) -> float:
     tail = table.b[N + 1 :, x_index]
     return float(np.sqrt(np.sum(np.abs(tail) ** 2)))
 
-
-def dump_coefficients_csv(path: str, table: CoefficientTable) -> None:
-    """Write n, x, Re a_n, Im a_n, Re b_n, Im b_n rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x", "re_a", "im_a", "re_b", "im_b"])
-        for n in range(table.N_max + 1):
-            for j, x in enumerate(table.grid.nodes):
-                writer.writerow(
-                    [
-                        n,
-                        repr(float(x)),
-                        repr(table.a[n, j].real),
-                        repr(table.a[n, j].imag),
-                        repr(table.b[n, j].real),
-                        repr(table.b[n, j].imag),
-                    ]
-                )

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._output import write_csv
 from .basis import compute_basis
 from .coeffs import (
     DEFAULT_N_MAX,
@@ -19,10 +19,11 @@ from .errors import (
     DegenerateNormalization,
     DegreeZero,
     DivisionNearZero,
+    InvalidScatteringData,
     UnstableSpectrum,
 )
-from .jost import series_sum, z_of_rho, rho_of_z
-from .numerics import midpoint_values, polynomial_roots
+from .jost import JostFactors, rho_of_z, z_of_rho
+from .numerics import horner, midpoint_values, polynomial_roots
 from .potentials import SampledPotential
 
 __all__ = [
@@ -68,32 +69,6 @@ class ScatteringData:
         return len(self.eigenvalues)
 
 
-def _center_coeffs(table: CoefficientTable, N: int):
-    mid = table.grid.center_index
-    b = table.b[: N + 1, mid]
-    a = table.a[: N + 1, mid]
-    return b.real.copy(), b.imag.copy(), a.real.copy(), a.imag.copy()
-
-
-def _factors(table: CoefficientTable, N: int, z):
-    """P_b, S_b, P_a, S_a evaluated at z (scalar or array)."""
-    rb, ib, ra, ia = _center_coeffs(table, N)
-    zp1 = z + 1.0
-    Pb = 1.0 + zp1 * series_sum(rb, z, N)
-    Sb = series_sum(ib, z, N)
-    Pa = 1.0 + zp1 * series_sum(ra, z, N)
-    Sa = series_sum(ia, z, N)
-    return Pb, Sb, Pa, Sa
-
-
-def eval_a(table: CoefficientTable, N: int, z):
-    """a(rho) through the factor form, valid for |z| <= 1."""
-    Pb, Sb, Pa, Sa = _factors(table, N, z)
-    # cross term enters with +: a = phi1*psi2 - phi2*psi1 and psi1 carries
-    # a leading minus sign
-    return Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
-
-
 def scattering_coefficients(table: CoefficientTable, N: int, rho_grid: np.ndarray):
     """a(rho) and b(rho) on a real rho grid.
 
@@ -103,49 +78,17 @@ def scattering_coefficients(table: CoefficientTable, N: int, rho_grid: np.ndarra
     rho = np.asarray(rho_grid, dtype=float)
     z = z_of_rho(rho.astype(complex))
     zb = np.conj(z)
-    Pb, Sb, _, _ = _factors(table, N, z)
-    _, _, Pa_c, Sa_c = _factors(table, N, zb)
-    a_vals = eval_a(table, N, z)
+    factors = JostFactors.from_table(table, N)
+    Pb, Sb, Pa, Sa = factors.evaluate(z)
+    _, _, Pa_c, Sa_c = factors.evaluate(zb)
+    a_vals = Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
     b_vals = Pa_c * (z + 1.0) * Sb - (zb + 1.0) * Sa_c * Pb
     return a_vals, b_vals
 
 
-def _series_poly(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Polynomial (ascending) of sum_{n<=N} (-1)^n c_n z^n."""
-    out = coeffs[: N + 1].astype(float).copy()
-    out[1::2] *= -1.0
-    return out
-
-
-def _affine_poly(s: np.ndarray) -> np.ndarray:
-    """Polynomial of 1 + (z+1)*S(z) given the polynomial s of S."""
-    out = np.zeros(s.size + 1)
-    out[: s.size] += s
-    out[1:] += s
-    out[0] += 1.0
-    return out
-
-
 def a_polynomial(table: CoefficientTable, N: int) -> np.ndarray:
     """Ascending coefficients of the truncated a(rho) as a polynomial in z."""
-    rb, ib, ra, ia = _center_coeffs(table, N)
-    Pb = _affine_poly(_series_poly(rb, N))
-    Pa = _affine_poly(_series_poly(ra, N))
-    Sb = _series_poly(ib, N)
-    Sa = _series_poly(ia, N)
-    first = np.convolve(Pb, Pa)
-    second = np.convolve(np.convolve([1.0, 2.0, 1.0], Sb), Sa)
-    out = np.zeros(max(first.size, second.size))
-    out[: first.size] += first
-    out[: second.size] += second
-    return out
-
-
-def _polyval(coeffs: np.ndarray, z):
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    return JostFactors.from_table(table, N).a_polynomial()
 
 
 def _in_disk_roots(poly: np.ndarray, delta: float) -> np.ndarray:
@@ -181,7 +124,7 @@ def find_eigenvalues(
         rho = rho_of_z(z)
         if rho.imag <= 0:
             continue
-        residual = abs(_polyval(poly, z))
+        residual = abs(horner(poly, z)[0])
         if residual > RESIDUAL_TOL * scale:
             continue
         if ref_roots is not None:
@@ -203,10 +146,11 @@ def norming_constants(
     table: CoefficientTable, N: int, eigenvalues: tuple[Eigenvalue, ...]
 ) -> np.ndarray:
     """c(rho_m) = phi1/psi1 at x = 0, falling back to phi2/psi2 if needed."""
+    factors = JostFactors.from_table(table, N)
     out = np.empty(len(eigenvalues), dtype=complex)
     for m, ev in enumerate(eigenvalues):
         z = ev.z
-        Pb, Sb, Pa, Sa = _factors(table, N, z)
+        Pb, Sb, Pa, Sa = factors.evaluate(z)
         den1 = (z + 1.0) * Sa
         if abs(den1) >= 1e-10:
             out[m] = -Pb / den1
@@ -308,7 +252,8 @@ def solve_direct(
         },
     }
     if report is not None:
-        meta["truncation"] = {"N_L": report.N_L, "N_R": report.N_R}
+        # an argmin at the cap means the sum rules had not settled
+        meta["truncation"] = {"N_L": report.N_L, "N_R": report.N_R, "at_cap": N == N_max}
     sd = ScatteringData(
         rho_grid=rho_grid,
         a_values=a_vals,
@@ -372,24 +317,40 @@ def scattering_to_json(sd: ScatteringData) -> str:
 
 
 def scattering_from_json(text: str) -> ScatteringData:
-    payload = json.loads(text)
-    rho = np.asarray(payload["rho"], dtype=float)
-    a_vals = np.asarray(payload["a_re"], dtype=float) + 1j * np.asarray(
-        payload["a_im"], dtype=float
-    )
-    b_vals = np.asarray(payload["b_re"], dtype=float) + 1j * np.asarray(
-        payload["b_im"], dtype=float
-    )
-    eigenvalues = tuple(
-        Eigenvalue(
-            rho=complex(ev["re"], ev["im"]),
-            z=z_of_rho(complex(ev["re"], ev["im"])),
-            residual=0.0,
+    """Parse scattering JSON; malformed or inconsistent input raises InvalidScatteringData."""
+    try:
+        payload = json.loads(text)
+        rho, a_re, a_im, b_re, b_im = (
+            np.asarray(payload[key], dtype=float)
+            for key in ("rho", "a_re", "a_im", "b_re", "b_im")
         )
-        for ev in payload["eigenvalues"]
-    )
-    norming = np.asarray(
-        [complex(c["re"], c["im"]) for c in payload["norming"]], dtype=complex
+        ev_rho = np.array(
+            [complex(ev["re"], ev["im"]) for ev in payload["eigenvalues"]], dtype=complex
+        )
+        norming = np.asarray(
+            [complex(c["re"], c["im"]) for c in payload["norming"]], dtype=complex
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise InvalidScatteringData(
+            f"malformed scattering JSON ({type(exc).__name__}: {exc})"
+        ) from exc
+    if rho.ndim != 1 or any(v.shape != rho.shape for v in (a_re, a_im, b_re, b_im)):
+        raise InvalidScatteringData(
+            "rho, a_re, a_im, b_re and b_im must be lists of equal length"
+        )
+    if not all(np.all(np.isfinite(v)) for v in (rho, a_re, a_im, b_re, b_im, ev_rho, norming)):
+        raise InvalidScatteringData("scattering data holds non-finite values")
+    if np.any(np.diff(rho) <= 0):
+        raise InvalidScatteringData("the rho grid must be strictly increasing")
+    if np.any(ev_rho.imag <= 0):
+        raise InvalidScatteringData("eigenvalues must have Im rho > 0")
+    if norming.size != ev_rho.size:
+        raise InvalidScatteringData(
+            f"{norming.size} norming constants for {ev_rho.size} eigenvalues"
+        )
+    eigenvalues = tuple(
+        Eigenvalue(rho=r, z=z_of_rho(r), residual=0.0) for r in ev_rho.tolist()
     )
     meta = {
         "n_terms": payload.get("n_terms", 0),
@@ -397,8 +358,8 @@ def scattering_from_json(text: str) -> ScatteringData:
     }
     return ScatteringData(
         rho_grid=rho,
-        a_values=a_vals,
-        b_values=b_vals,
+        a_values=a_re + 1j * a_im,
+        b_values=b_re + 1j * b_im,
         eigenvalues=eigenvalues,
         norming_constants=norming,
         meta=meta,
@@ -406,16 +367,8 @@ def scattering_from_json(text: str) -> ScatteringData:
 
 
 def write_scattering_csv(path: str, sd: ScatteringData) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "re_a", "im_a", "re_b", "im_b"])
-        for k, rho in enumerate(sd.rho_grid):
-            writer.writerow(
-                [
-                    repr(float(rho)),
-                    repr(float(sd.a_values[k].real)),
-                    repr(float(sd.a_values[k].imag)),
-                    repr(float(sd.b_values[k].real)),
-                    repr(float(sd.b_values[k].imag)),
-                ]
-            )
+    write_csv(
+        path,
+        ["rho", "re_a", "im_a", "re_b", "im_b"],
+        [sd.rho_grid, sd.a_values.real, sd.a_values.imag, sd.b_values.real, sd.b_values.imag],
+    )

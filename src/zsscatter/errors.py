@@ -55,3 +55,7 @@ class DenominatorNearZero(ZSScatterError):
 
 class UnstableSpectrum(ZSScatterError):
     """Root filters reject most candidates; truncation order too small."""
+
+
+class InvalidScatteringData(ZSScatterError):
+    """Scattering JSON is malformed or inconsistent."""

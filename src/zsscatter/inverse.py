@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DenominatorNearZero, MissingSpectrumData, RankDeficient
-from .jost import z_of_rho
+from .jost import JostFactors, z_of_rho
 from .numerics import UniformGrid, differentiate, least_squares_solve
 from .direct import ScatteringData
 
@@ -16,7 +16,6 @@ __all__ = [
     "RecoveredCoefficients",
     "RecoveredPotential",
     "assemble_system",
-    "solve_all",
     "select_truncation_inverse",
     "recover_potential",
     "solve_inverse",
@@ -115,28 +114,14 @@ class _FactorTables:
         self.K = self.rho.size
         self.M = sd.M
         self.N = N
-        n1 = N + 1
         z = z_of_rho(self.rho.astype(complex))
-        signs_z = -z
-        powers = np.empty((self.K, n1), dtype=complex)
-        powers[:, 0] = 1.0
-        for n in range(1, n1):
-            powers[:, n] = powers[:, n - 1] * signs_z
-        self.Pz = (z + 1.0)[:, None] * powers
+        self.Pz = JostFactors.collocation_columns(z, N)
         self.aPzb = self.a[:, None] * np.conj(self.Pz)
         self.bPz = self.b[:, None] * self.Pz
         self.rho_m = np.array([ev.rho for ev in sd.eigenvalues], dtype=complex)
         zm = np.array([ev.z for ev in sd.eigenvalues], dtype=complex)
-        if self.M:
-            powm = np.empty((self.M, n1), dtype=complex)
-            powm[:, 0] = 1.0
-            for n in range(1, n1):
-                powm[:, n] = powm[:, n - 1] * (-zm)
-            self.Pzm = (zm + 1.0)[:, None] * powm
-            self.c = sd.norming_constants.astype(complex)
-        else:
-            self.Pzm = np.zeros((0, n1), dtype=complex)
-            self.c = np.zeros(0, dtype=complex)
+        self.Pzm = JostFactors.collocation_columns(zm, N)
+        self.c = sd.norming_constants.astype(complex)
 
     def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         n1 = self.N + 1
@@ -175,8 +160,8 @@ def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, n
     return _FactorTables(sd, N).assemble(x)
 
 
-def _solve_sweep(sd: ScatteringData, N: int, grid: UniformGrid, K: int | None):
-    tables = _FactorTables(sd, N, K)
+def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
+    N = tables.N
     if tables.K + tables.M < N + 1:
         raise ValueError("system must be overdetermined: K + M >= N + 1")
     n_cols = 4 * (N + 1)
@@ -203,12 +188,6 @@ def _solve_sweep(sd: ScatteringData, N: int, grid: UniformGrid, K: int | None):
     )
 
 
-def solve_all(sd: ScatteringData, cfg: InverseConfig) -> RecoveredCoefficients:
-    """Least-squares solve at every node of the inverse x grid."""
-    N = cfg.N if isinstance(cfg.N, int) else select_truncation_inverse(sd, cfg)[0]
-    return _solve_sweep(sd, N, cfg.x_grid(), cfg.K)
-
-
 def select_truncation_inverse(
     sd: ScatteringData, cfg: InverseConfig
 ) -> tuple[int, dict[int, float]]:
@@ -222,7 +201,7 @@ def select_truncation_inverse(
     best_n = None
     best_eps = np.inf
     for N in cfg.candidates:
-        coeffs = _solve_sweep(sd, N, grid, cfg.selection_K)
+        coeffs = _solve_sweep(_FactorTables(sd, N, cfg.selection_K), grid)
         wron = coeffs.wronskian_curve()
         eps = float(np.max(np.abs(differentiate(grid, wron))))
         eps_table[N] = eps
@@ -274,7 +253,11 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
         N, eps_table = select_truncation_inverse(sd, cfg)
         info["eps_table"] = eps_table
     info["chosen_N"] = N
-    coeffs = _solve_sweep(sd, N, cfg.x_grid(), cfg.K)
+    tables = _FactorTables(sd, N, cfg.K)
+    # subsampling in theta can land several targets on one rho node, so
+    # fewer distinct points than cfg.K may enter the solve
+    info["collocation_count"] = tables.K
+    coeffs = _solve_sweep(tables, cfg.x_grid())
     info["max_residual"] = float(np.max(coeffs.residuals))
     info["max_condition"] = float(np.max(coeffs.conditions))
     recovered = recover_potential(coeffs)

@@ -1,4 +1,4 @@
-"""Moebius map of the spectral parameter and series evaluation of Jost pairs."""
+"""Moebius map of the spectral parameter and the series form of the Jost factors."""
 
 from __future__ import annotations
 
@@ -9,13 +9,14 @@ import numpy as np
 
 from .coeffs import CoefficientTable, tail_estimate
 from .errors import PoleAtMinusOne
+from .numerics import horner
 
 __all__ = [
     "SpectralPoint",
     "JostPair",
     "z_of_rho",
     "rho_of_z",
-    "series_sum",
+    "JostFactors",
     "eval_jost",
     "remainder_bound",
 ]
@@ -51,38 +52,91 @@ class JostPair:
     psi2: complex
 
 
-def series_sum(coeffs: np.ndarray, z, N: int):
-    """Horner evaluation of sum_{n=0}^{N} (-1)^n z^n coeffs[n].
+@dataclass(frozen=True, eq=False)
+class JostFactors:
+    """The truncated Jost series at one x node as ascending polynomials in z.
 
-    ``z`` may be a scalar or an array; coeffs is a real or complex vector
-    indexed by n.
+    The series are sums of (-1)^n c_n z^n over n = 0..N; the four arrays hold
+    (-1)^n Re b_n, (-1)^n Im b_n, (-1)^n Re a_n and (-1)^n Im a_n, so each
+    series is the ordinary polynomial with those coefficients.  The factors
+    are P_b = 1 + (z+1) S_rb, S_b = S_ib, P_a = 1 + (z+1) S_ra, S_a = S_ia.
     """
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for n in range(N, -1, -1):
-        acc = acc * (-z) + coeffs[n]
-    return acc
+
+    re_b: np.ndarray
+    im_b: np.ndarray
+    re_a: np.ndarray
+    im_a: np.ndarray
+
+    @classmethod
+    def from_table(
+        cls, table: CoefficientTable, N: int, x_index: int | None = None
+    ) -> "JostFactors":
+        """Coefficients up to order N at ``x_index`` (default: x = 0)."""
+        if N > table.N_max:
+            raise ValueError("N exceeds the available coefficient order")
+        j = table.grid.center_index if x_index is None else x_index
+        sign = np.ones(N + 1)
+        sign[1::2] = -1.0
+        b = table.b[: N + 1, j]
+        a = table.a[: N + 1, j]
+        return cls(sign * b.real, sign * b.imag, sign * a.real, sign * a.imag)
+
+    def evaluate(self, z):
+        """P_b, S_b, P_a, S_a at z (scalar or array)."""
+        zp1 = z + 1.0
+        Pb = 1.0 + zp1 * horner(self.re_b, z)[0]
+        Sb = horner(self.im_b, z)[0]
+        Pa = 1.0 + zp1 * horner(self.re_a, z)[0]
+        Sa = horner(self.im_a, z)[0]
+        return Pb, Sb, Pa, Sa
+
+    def a_polynomial(self) -> np.ndarray:
+        """Ascending coefficients of a(z) = P_b P_a + (z+1)^2 S_b S_a.
+
+        The cross term enters with +: a = phi1 psi2 - phi2 psi1 and psi1
+        carries a leading minus sign.
+        """
+        first = np.convolve(_one_plus_zp1_times(self.re_b), _one_plus_zp1_times(self.re_a))
+        second = np.convolve(np.convolve([1.0, 2.0, 1.0], self.im_b), self.im_a)
+        out = np.zeros(max(first.size, second.size))
+        out[: first.size] += first
+        out[: second.size] += second
+        return out
+
+    @staticmethod
+    def collocation_columns(z: np.ndarray, N: int) -> np.ndarray:
+        """(z+1)(-z)^n for n = 0..N, one row per entry of the 1-D array z."""
+        powers = np.empty((z.size, N + 1), dtype=complex)
+        powers[:, 0] = 1.0
+        for n in range(1, N + 1):
+            powers[:, n] = powers[:, n - 1] * (-z)
+        return (z + 1.0)[:, None] * powers
+
+
+def _one_plus_zp1_times(s: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of 1 + (z+1) S(z) given those of S."""
+    out = np.zeros(s.size + 1)
+    out[: s.size] += s
+    out[1:] += s
+    out[0] += 1.0
+    return out
 
 
 def eval_jost(
     sp: SpectralPoint, x_index: int, table: CoefficientTable, N: int
 ) -> JostPair:
     """Truncated series values of both Jost solutions at one (rho, x)."""
-    if N > table.N_max:
-        raise ValueError("N exceeds the available coefficient order")
-    z = sp.z
+    Pb, Sb, Pa, Sa = JostFactors.from_table(table, N, x_index).evaluate(sp.z)
     x = table.grid.nodes[x_index]
-    b_re = table.b[: N + 1, x_index].real
-    b_im = table.b[: N + 1, x_index].imag
-    a_re = table.a[: N + 1, x_index].real
-    a_im = table.a[: N + 1, x_index].imag
     em = np.exp(-1j * sp.rho * x)
     ep = np.exp(1j * sp.rho * x)
-    zp1 = z + 1.0
-    phi1 = em * (1.0 + zp1 * series_sum(b_re, z, N))
-    phi2 = em * zp1 * series_sum(b_im, z, N)
-    psi1 = -ep * zp1 * series_sum(a_im, z, N)
-    psi2 = ep * (1.0 + zp1 * series_sum(a_re, z, N))
-    return JostPair(phi1=complex(phi1), phi2=complex(phi2), psi1=complex(psi1), psi2=complex(psi2))
+    zp1 = sp.z + 1.0
+    return JostPair(
+        phi1=complex(em * Pb),
+        phi2=complex(em * zp1 * Sb),
+        psi1=complex(-ep * zp1 * Sa),
+        psi2=complex(ep * Pa),
+    )
 
 
 def remainder_bound(

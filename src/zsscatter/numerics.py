@@ -18,6 +18,7 @@ __all__ = [
     "cumulative_integral_from_left",
     "cumulative_integral_from_right",
     "integrate_linear_ode2",
+    "horner",
     "polynomial_roots",
     "least_squares_solve",
     "differentiate",
@@ -171,10 +172,10 @@ def integrate_linear_ode2(
     return w, wp
 
 
-def _polyval_with_derivative(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
-    """Horner evaluation of p(z) and p'(z); coeffs in ascending order."""
-    p = 0.0 + 0.0j
-    dp = 0.0 + 0.0j
+def horner(coeffs: np.ndarray, z):
+    """p(z) and p'(z) for ascending coefficients, elementwise over scalar or array z."""
+    p = np.zeros_like(np.asarray(z, dtype=complex))
+    dp = np.zeros_like(p)
     for c in coeffs[::-1]:
         dp = dp * z + p
         p = p * z + c
@@ -199,20 +200,16 @@ def polynomial_roots(coeffs) -> np.ndarray:
         roots = np.roots(c[::-1])
     except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
         raise NoConvergence("companion-matrix QR did not converge") from exc
-    polished = np.empty_like(roots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, r in enumerate(roots):
-            for _ in range(2):
-                p, dp = _polyval_with_derivative(c, r)
-                # Horner overflows for high degrees well outside the unit
-                # circle; those roots are left as the QR iteration found them
-                if not (np.isfinite(p) and np.isfinite(dp)) or dp == 0:
-                    break
-                step = p / dp
-                if np.isfinite(step) and abs(step) < 1.0:
-                    r = r - step
-            polished[i] = r
-    return polished
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(2):
+            # Horner overflows for high degrees well outside the unit
+            # circle; those roots are left as the QR iteration found them.
+            # A non-finite p or p', or p' = 0, gives a non-finite or zero
+            # step, so only finite steps with |step| < 1 move a root.
+            p, dp = horner(c, roots)
+            step = p / dp
+            roots = np.where(np.isfinite(step) & (np.abs(step) < 1.0), roots - step, roots)
+    return roots
 
 
 def least_squares_solve(

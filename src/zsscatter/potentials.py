@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._output import write_csv
 from .errors import DomainTooSmall, NonRealPotential
 from .numerics import UniformGrid, cumulative_integral_from_left, differentiate
 
@@ -229,8 +230,4 @@ def decay_check(p: SampledPotential, threshold: float = 1e-6) -> list[str]:
 
 def write_potential_csv(path: str, grid: UniformGrid, q: np.ndarray) -> None:
     """Write a two-column 'x,q' CSV readable by PotentialSpec(path=...)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "q"])
-        for x, v in zip(grid.nodes, np.real(q)):
-            writer.writerow([repr(float(x)), repr(float(v))])
+    write_csv(path, ["x", "q"], [grid.nodes, np.real(q)])

@@ -1,10 +1,13 @@
 """CLI surface: exit codes, emitted files, determinism."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import zsscatter as zs
+from zsscatter import cli
 from zsscatter.cli import main
 
 
@@ -120,3 +123,78 @@ def test_roundtrip_small(tmp_path, capsys):
     assert report["chosen_N"] == 20
     assert report["max_abs_error"] < 0.05
     assert "max abs error" in capsys.readouterr().out
+
+
+def test_inverse_summary_reports_collocation_count(tmp_path):
+    out_dir = tmp_path / "direct"
+    assert run(["direct", "--potential", "preset:zero",
+                "--grid-points", "401", "--rho-count", "200",
+                "--output-dir", str(out_dir)]) == 0
+    inv_dir = tmp_path / "inverse"
+    assert run(["inverse", "--scattering", str(out_dir / "scattering.json"),
+                "--x-points", "21", "--collocation", "150",
+                "--inverse-n", "5", "--output-dir", str(inv_dir)]) == 0
+    summary = json.loads((inv_dir / "inverse_summary.json").read_text())
+    assert 0 < summary["collocation_count"] < 150
+
+
+def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_direct",
+                        functools.partial(zs.solve_direct, N_max=10))
+    code = run(["direct", "--potential", "preset:sech_scaled", "--mu", "1.5",
+                "--half-width", "8", "--grid-points", "801",
+                "--rho-count", "200", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert "truncation order N = 10 is the cap N_max" in capsys.readouterr().err
+
+
+def test_decay_warnings_printed(tmp_path, capsys):
+    code = run(["direct", "--potential", "preset:sech_scaled", "--mu", "1.5",
+                "--half-width", "2", "--grid-points", "401",
+                "--rho-count", "200", "--output-dir", str(tmp_path)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "warning: left tail weight" in err
+    assert "warning: right tail weight" in err
+
+
+_VALID_SCATTERING = {
+    "rho": [-1.0, 0.0, 1.0],
+    "a_re": [1.0, 1.0, 1.0], "a_im": [0.0, 0.0, 0.0],
+    "b_re": [0.0, 0.0, 0.0], "b_im": [0.0, 0.0, 0.0],
+    "eigenvalues": [{"re": 0.0, "im": 0.5}],
+    "norming": [{"re": 1.0, "im": 0.0}],
+    "n_terms": 3, "potential_desc": "hand-written",
+}
+
+
+def _scattering_text(drop=None, **changes):
+    payload = {k: v for k, v in _VALID_SCATTERING.items() if k != drop}
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"rho": [1.0,', id="malformed-json"),
+    pytest.param(_scattering_text(drop="b_im"), id="missing-key"),
+    pytest.param(_scattering_text(eigenvalues=[{"re": 0.0}]), id="missing-eigenvalue-part"),
+    pytest.param(_scattering_text(a_re=[1.0, 1.0]), id="unequal-lengths"),
+    pytest.param(_scattering_text(rho=[-1.0, 1.0, 0.0]), id="rho-not-increasing"),
+    pytest.param(_scattering_text(b_re=[0.0, float("nan"), 0.0]), id="non-finite"),
+    pytest.param(_scattering_text(eigenvalues=[{"re": 0.0, "im": -0.5}]),
+                 id="eigenvalue-not-in-upper-half-plane"),
+    pytest.param(_scattering_text(norming=[]), id="norming-count"),
+])
+def test_invalid_scattering_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scattering.json"
+    path.write_text(text)
+    assert run(["validate", "--scattering", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidScatteringData: ")
+    assert err.count("\n") == 1
+
+
+def test_valid_hand_written_scattering_json_accepted(tmp_path):
+    path = tmp_path / "scattering.json"
+    path.write_text(_scattering_text())
+    assert run(["validate", "--scattering", str(path)]) == 0

@@ -102,11 +102,3 @@ def test_example4_truncation_choice(ex4_direct):
     _, sd = ex4_direct
     assert 37 <= sd.meta["n_terms"] <= 57
 
-
-def test_coefficient_dump(tmp_path, ex1_table):
-    from zsscatter.coeffs import dump_coefficients_csv
-    _, table = ex1_table
-    path = tmp_path / "coeffs.csv"
-    dump_coefficients_csv(str(path), table)
-    header = path.read_text().splitlines()[0]
-    assert header.split(",") == ["n", "x", "re_a", "im_a", "re_b", "im_b"]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import zsscatter as zs
-from zsscatter.direct import Eigenvalue, ScatteringData, eval_a
+from zsscatter.direct import Eigenvalue, ScatteringData
 from zsscatter.errors import DivisionNearZero
+from zsscatter.jost import JostFactors
 
 
 def test_zero_potential_scattering(zero_direct):
@@ -25,15 +26,22 @@ def test_zero_potential_a_polynomial(zero_direct):
     assert np.max(np.abs(poly[1:])) < 1e-10
 
 
+def _a_from_factors(factors, z):
+    """a = P_b P_a + (z+1)^2 S_b S_a from the factor values."""
+    Pb, Sb, Pa, Sa = factors.evaluate(z)
+    return Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
+
+
 def test_polynomial_matches_series(ex1_direct):
     _, sd = ex1_direct
     table = sd.meta["table"]
     N = sd.meta["n_terms"]
     poly = zs.a_polynomial(table, N)
+    factors = JostFactors.from_table(table, N)
     rng = np.random.default_rng(3)
     for rho in rng.uniform(-20.0, 20.0, size=50):
         z = zs.z_of_rho(complex(rho))
-        direct = eval_a(table, N, z)
+        direct = _a_from_factors(factors, z)
         horner = 0.0j
         for c in poly[::-1]:
             horner = horner * z + c
@@ -44,11 +52,12 @@ def test_a_parity_off_axis(ex1_direct):
     _, sd = ex1_direct
     table = sd.meta["table"]
     N = sd.meta["n_terms"]
+    factors = JostFactors.from_table(table, N)
     rng = np.random.default_rng(5)
     for _ in range(50):
         rho = complex(rng.uniform(-3, 3), rng.uniform(0.01, 2.0))
-        a_plus = eval_a(table, N, zs.z_of_rho(rho))
-        a_minus = eval_a(table, N, zs.z_of_rho(-np.conj(rho)))
+        a_plus = _a_from_factors(factors, zs.z_of_rho(rho))
+        a_minus = _a_from_factors(factors, zs.z_of_rho(-np.conj(rho)))
         assert abs(a_minus - np.conj(a_plus)) < 1e-10
 
 
@@ -165,3 +174,12 @@ def test_csv_export(tmp_path, zero_direct):
     lines = path.read_text().splitlines()
     assert lines[0] == "rho,re_a,im_a,re_b,im_b"
     assert len(lines) == sd.rho_grid.size + 1
+
+
+def test_truncation_at_cap_is_recorded(ex1_direct):
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": 1.5}),
+                    zs.UniformGrid(8.0, 801))
+    sd = zs.solve_direct(p, rho_count=200, N_max=10)
+    assert sd.meta["n_terms"] == 10
+    assert sd.meta["truncation"]["at_cap"] is True
+    assert ex1_direct[1].meta["truncation"]["at_cap"] is False

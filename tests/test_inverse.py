@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 import zsscatter as zs
 from zsscatter.direct import Eigenvalue, ScatteringData
 from zsscatter.errors import DenominatorNearZero, MissingSpectrumData
+from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients
 
 
@@ -76,7 +77,7 @@ class TestTrivialPipeline:
     def test_solution_is_zero(self):
         sd = _trivial_data()
         cfg = zs.InverseConfig(x_half_width=4.0, x_points=41, K=200, N=5)
-        coeffs = zs.solve_all(sd, cfg)
+        _, coeffs, _ = zs.solve_inverse(sd, cfg)
         assert np.max(np.abs(coeffs.X)) < 1e-12
 
     def test_recovered_zero_potential(self):
@@ -85,6 +86,26 @@ class TestTrivialPipeline:
         rec, _, _ = zs.solve_inverse(sd, cfg)
         assert np.max(np.abs(rec.chosen)) < 1e-12
         assert np.max(np.abs(rec.q_from_a0)) < 1e-12
+
+    def test_collocation_count_is_what_the_solve_uses(self, monkeypatch):
+        rows = []
+        original = inverse.least_squares_solve
+
+        def spy(A, B, **kwargs):
+            rows.append(A.shape[0])
+            return original(A, B, **kwargs)
+
+        monkeypatch.setattr(inverse, "least_squares_solve", spy)
+        sd = _trivial_data()
+        for K in (200, 400):
+            cfg = zs.InverseConfig(x_half_width=4.0, x_points=11, K=K, N=5)
+            _, _, info = zs.solve_inverse(sd, cfg)
+            # two complex equations per rho node, split into real and imaginary rows
+            assert info["collocation_count"] == rows[-1] // 4
+        # theta-uniform subsampling merges targets near rho = 0
+        _, _, info = zs.solve_inverse(sd, zs.InverseConfig(x_half_width=4.0, x_points=11, K=200, N=5))
+        assert info["collocation_count"] < 200
+        assert rows[-1] // 4 < 200
 
     def test_selection_ties_to_smallest(self):
         sd = _trivial_data()
@@ -177,4 +198,4 @@ class TestRecovery:
         sd = _trivial_data(n_rho=20)
         cfg = zs.InverseConfig(x_points=11, K=10, N=40)
         with pytest.raises(ValueError):
-            zs.solve_all(sd, cfg)
+            zs.solve_inverse(sd, cfg)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
 from zsscatter.errors import PoleAtMinusOne
-from zsscatter.jost import series_sum
 
 
 def test_map_landmarks():
@@ -29,13 +28,6 @@ def test_map_roundtrip(re, im):
 @settings(max_examples=100, deadline=None)
 def test_real_rho_on_circle(rho):
     assert abs(abs(zs.z_of_rho(rho)) - 1.0) < 1e-12
-
-
-def test_series_sum_horner():
-    coeffs = np.array([1.0, 2.0, 3.0])
-    z = 0.5 + 0.1j
-    expected = 1.0 - 2.0 * z + 3.0 * z ** 2
-    assert abs(series_sum(coeffs, z, 2) - expected) < 1e-14
 
 
 def test_zero_potential_plane_waves():

@@ -10,6 +10,7 @@ from zsscatter.numerics import (
     cumulative_integral_from_left,
     cumulative_integral_from_right,
     differentiate,
+    horner,
     integrate_linear_ode2,
     least_squares_solve,
     polynomial_roots,
@@ -141,7 +142,65 @@ class TestOdeIntegration:
                                   start_value=1.0, start_slope=0.0, direction=2)
 
 
+class TestHorner:
+    # p(z) = (1+2i) - 3z + (0.5-1j) z^2 + 2i z^3
+    coeffs = np.array([1.0 + 2.0j, -3.0, 0.5 - 1.0j, 2.0j])
+
+    @staticmethod
+    def exact(z):
+        p = (1.0 + 2.0j) - 3.0 * z + (0.5 - 1.0j) * z**2 + 2.0j * z**3
+        dp = -3.0 + 2.0 * (0.5 - 1.0j) * z + 6.0j * z**2
+        return p, dp
+
+    def test_cubic_scalar(self):
+        z = 0.5 + 0.1j
+        p, dp = horner(self.coeffs, z)
+        p_ref, dp_ref = self.exact(z)
+        assert np.shape(p) == () and np.shape(dp) == ()
+        assert abs(p - p_ref) < 1e-14
+        assert abs(dp - dp_ref) < 1e-14
+
+    def test_cubic_array(self):
+        z = np.array([[0.0, 1.0, -1.0], [0.3 - 0.7j, 2.0j, -1.5 + 0.25j]])
+        p, dp = horner(self.coeffs, z)
+        p_ref, dp_ref = self.exact(z)
+        assert p.shape == z.shape and dp.shape == z.shape
+        assert np.max(np.abs(p - p_ref)) < 1e-13
+        assert np.max(np.abs(dp - dp_ref)) < 1e-13
+
+
+def _polish_one_root_at_a_time(c, roots):
+    """Scalar reference for the Newton polish of polynomial_roots."""
+    out = np.empty_like(roots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, r in enumerate(roots):
+            for _ in range(2):
+                p = dp = np.complex128(0.0)
+                for a in c[::-1]:
+                    dp = dp * r + p
+                    p = p * r + a
+                if not (np.isfinite(p) and np.isfinite(dp)) or dp == 0:
+                    break
+                step = p / dp
+                if np.isfinite(step) and abs(step) < 1.0:
+                    r = r - step
+            out[i] = r
+    return out
+
+
 class TestPolynomialRoots:
+    def test_polish_matches_scalar_loop(self):
+        # random coefficients put the roots near the unit circle; the
+        # factors with roots at |z| = 40 make Horner overflow there, where
+        # the polish must leave the roots alone
+        rng = np.random.default_rng(7)
+        outer = 40.0 * np.exp(2j * np.pi * rng.uniform(size=4))
+        c = np.convolve(rng.normal(size=200), np.polynomial.polynomial.polyfromroots(outer))
+        expected = _polish_one_root_at_a_time(c.astype(complex), np.roots(c[::-1].astype(complex)))
+        roots = polynomial_roots(c)
+        assert roots.shape == expected.shape
+        assert np.all(np.abs(roots - expected) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(expected)))
+
     def test_quadratic(self):
         roots = sorted(polynomial_roots([-1.0, 0.0, 1.0]), key=lambda r: r.real)
         assert abs(roots[0] + 1.0) < 1e-12
