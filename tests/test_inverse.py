@@ -9,6 +9,7 @@ from zsscatter.direct import Eigenvalue, ScatteringData
 from zsscatter.errors import DenominatorNearZero, MissingSpectrumData
 from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients
+from test_numerics import _reference_lsq
 
 
 def _trivial_data(n_rho=400):
@@ -130,6 +131,18 @@ class TestSelection:
             sd, zs.InverseConfig(x_half_width=7.0))
         assert 50 <= N <= 80
         assert eps[N] <= min(eps.values()) + 1e-30
+
+
+class TestSweepKernel:
+    def test_two_stage_solve_matches_single_stage_sweep(self, ex1_direct, monkeypatch):
+        _, sd = ex1_direct
+        tables = inverse._FactorTables(sd, 25, zs.InverseConfig().K)
+        grid = zs.UniformGrid(0.25, 21)
+        fast = inverse._solve_sweep(tables, grid)
+        monkeypatch.setattr(inverse, "least_squares_solve", _reference_lsq)
+        ref = inverse._solve_sweep(tables, grid)
+        assert np.max(np.abs(fast.X - ref.X)) <= 1e-12
+        assert fast.conditions.max() == pytest.approx(ref.conditions.max(), rel=5e-4)
 
 
 class TestRoundtrips:

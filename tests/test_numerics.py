@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
@@ -243,6 +244,32 @@ class TestPolynomialRoots:
         assert np.min(np.abs(roots - c)) < 1e-8
 
 
+def _reference_lsq(A, b, rank_tol=1e-12, on_deficient="raise"):
+    """Single-stage reference: column-pivoted QR of the equilibrated A itself."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    col_scale = np.linalg.norm(A, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    A_s = A / col_scale
+    Q, R, perm = scipy.linalg.qr(A_s, mode="economic", pivoting=True)
+    diag = np.abs(np.diagonal(R))
+    dmax = diag.max()
+    rank = int(np.count_nonzero(diag >= rank_tol * dmax)) if dmax > 0 else 0
+    if rank < A.shape[1]:
+        if on_deficient == "raise" or rank == 0:
+            raise RankDeficient("triangular factor has a near-zero diagonal entry")
+        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ b)
+        x = np.zeros(A.shape[1])
+        x[perm[:rank]] = y
+    else:
+        y = scipy.linalg.solve_triangular(R, Q.T @ b)
+        x = np.empty_like(y)
+        x[perm] = y
+    x /= col_scale
+    residual = float(np.linalg.norm(A @ x - b))
+    return x, residual, float(dmax / diag[:rank].min())
+
+
 class TestLeastSquares:
     def test_identity(self):
         x, res, cond = least_squares_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -289,6 +316,68 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             least_squares_solve(np.ones((2, 3)), np.ones(2))
+
+    def test_scaled_tall_system_matches_reference(self):
+        rng = np.random.default_rng(400)
+        A = rng.standard_normal((400, 60)) * np.logspace(-6.0, 0.0, 60)
+        b = rng.standard_normal(400)
+        x, res, cond = least_squares_solve(A, b)
+        x_ref, res_ref, cond_ref = _reference_lsq(A, b)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert res == pytest.approx(res_ref, rel=1e-12)
+        assert cond == pytest.approx(cond_ref, rel=1e-2)
+
+    def test_near_rank_edge_is_the_reference_solve(self):
+        # a pivot ratio between 1e9 and 1e12 is below the two-stage margin
+        # but above rank_tol, so the single-stage solve answers exactly
+        rng = np.random.default_rng(9)
+        U = np.linalg.qr(rng.standard_normal((300, 40)))[0]
+        V = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        A = (U * np.logspace(0.0, -10.5, 40)) @ V.T
+        b = rng.standard_normal(300)
+        x_ref, res_ref, cond_ref = _reference_lsq(A, b)
+        assert 1e9 < cond_ref < 1e12
+        x, res, cond = least_squares_solve(A, b)
+        assert np.array_equal(x, x_ref)
+        assert res == res_ref
+        assert cond == cond_ref
+
+    def test_square_system(self):
+        rng = np.random.default_rng(30)
+        A = rng.standard_normal((30, 30)) + 8.0 * np.eye(30)
+        b = rng.standard_normal(30)
+        x, res, cond = least_squares_solve(A, b)
+        x_ref, _, cond_ref = _reference_lsq(A, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
+        assert res < 1e-12
+        assert cond == pytest.approx(cond_ref, rel=1e-2)
+
+    def test_duplicate_column_truncates_like_reference(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((50, 8))
+        A[:, 5] = 3.0 * A[:, 2]
+        b = rng.standard_normal(50)
+        x, res, cond = least_squares_solve(A, b, on_deficient="truncate")
+        x_ref, res_ref, cond_ref = _reference_lsq(A, b, on_deficient="truncate")
+        assert np.count_nonzero(x_ref == 0.0) == 1
+        assert np.array_equal(x == 0.0, x_ref == 0.0)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert res == pytest.approx(res_ref, rel=1e-12)
+        assert cond == pytest.approx(cond_ref, rel=1e-2)
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((20, 4))
+        b = rng.standard_normal(20)
+        if where == "A":
+            A[3, 1] = bad
+        else:
+            b[7] = bad
+        with pytest.raises(ValueError):
+            least_squares_solve(A, b)
 
 
 class TestDifferentiate:
