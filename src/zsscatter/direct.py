@@ -110,16 +110,16 @@ def find_eigenvalues(
 
     Candidates must (i) lie at least ``delta`` inside the circle, (ii) map to
     Im rho > 0, (iii) have a small polynomial residual, and (iv) persist when
-    the polynomial is rebuilt with N-5 terms.  Truncation noise concentrates
-    near |z| = 1, and the persistence filter is what rejects it.
+    the polynomial is rebuilt with N-5 terms: Newton's method on that
+    polynomial, started at the candidate, must end within STABILITY_TOL of
+    it and inside the disk.  Truncation noise concentrates near |z| = 1, and
+    the persistence filter is what rejects it.
     """
     candidates = _in_disk_roots(poly, delta)
     scale = float(np.max(np.abs(poly)))
     kept = []
     rejected_unstable = 0
-    ref_roots = None
-    if N >= 6:
-        ref_roots = _in_disk_roots(a_polynomial(table, N - 5), delta)
+    reference = a_polynomial(table, N - 5) if N >= 6 else None
     for z in candidates:
         rho = rho_of_z(z)
         if rho.imag <= 0:
@@ -127,10 +127,9 @@ def find_eigenvalues(
         residual = abs(horner(poly, z)[0])
         if residual > RESIDUAL_TOL * scale:
             continue
-        if ref_roots is not None:
-            if ref_roots.size == 0 or np.min(np.abs(ref_roots - z)) > STABILITY_TOL:
-                rejected_unstable += 1
-                continue
+        if reference is not None and not _persists(reference, z, delta):
+            rejected_unstable += 1
+            continue
         kept.append(Eigenvalue(rho=complex(rho), z=complex(z), residual=residual))
     n_upper = sum(1 for z in candidates if rho_of_z(z).imag > 0)
     if n_upper > 0 and rejected_unstable > n_upper / 2:
@@ -140,6 +139,27 @@ def find_eigenvalues(
         )
     kept.sort(key=lambda ev: (round(ev.rho.real, 9), ev.rho.imag))
     return tuple(kept)
+
+
+# Newton steps of the persistence test.  At degrees of 400 and more rounding
+# keeps the step well above machine precision, so the test judges the final
+# distance rather than waiting for the step to vanish.
+_PERSISTENCE_STEPS = 8
+
+
+def _persists(reference: np.ndarray, z: complex, delta: float) -> bool:
+    """Whether Newton on ``reference`` from z ends within STABILITY_TOL of z, in the disk."""
+    w = z
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_PERSISTENCE_STEPS):
+            p, dp = horner(reference, w)
+            step = p / dp
+            w = w - step
+            if abs(step) <= 4.0 * np.finfo(float).eps * abs(w):
+                break
+    # a constant reference (p' = 0) or an overflow leaves w non-finite, and
+    # every comparison with it fails
+    return abs(w - z) <= STABILITY_TOL and abs(w) < 1.0 - delta
 
 
 def norming_constants(

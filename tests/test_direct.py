@@ -4,11 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
-from zsscatter.direct import Eigenvalue, ScatteringData
-from zsscatter.errors import DivisionNearZero
+from zsscatter.direct import (
+    DISK_MARGIN,
+    RESIDUAL_TOL,
+    STABILITY_TOL,
+    Eigenvalue,
+    ScatteringData,
+)
+from zsscatter.errors import DegreeZero, DivisionNearZero, UnstableSpectrum
 from zsscatter.jost import JostFactors
+from zsscatter.numerics import horner, polynomial_roots
 
 
 def test_zero_potential_scattering(zero_direct):
@@ -183,3 +191,117 @@ def test_truncation_at_cap_is_recorded(ex1_direct):
     assert sd.meta["n_terms"] == 10
     assert sd.meta["truncation"]["at_cap"] is True
     assert ex1_direct[1].meta["truncation"]["at_cap"] is False
+
+
+def _two_solve_eigenvalues(poly, table, N, delta=DISK_MARGIN):
+    """Reference persistence filter by a second companion solve.
+
+    A candidate persists iff some in-disk root of the N-5 polynomial, found
+    by ``polynomial_roots``, lies within STABILITY_TOL of it.  Returns the
+    kept rho and the number of rejected candidates, or raises
+    UnstableSpectrum by the same rule as ``find_eigenvalues``.
+    """
+    def in_disk_roots(c):
+        try:
+            roots = polynomial_roots(c)
+        except DegreeZero:
+            return np.zeros(0, dtype=complex)
+        return roots[np.abs(roots) < 1.0 - delta]
+
+    candidates = in_disk_roots(poly)
+    ref_roots = in_disk_roots(zs.a_polynomial(table, N - 5))
+    scale = float(np.max(np.abs(poly)))
+    kept, rejected, n_upper = [], 0, 0
+    for z in candidates:
+        rho = zs.rho_of_z(z)
+        if rho.imag <= 0:
+            continue
+        n_upper += 1
+        if abs(horner(poly, z)[0]) > RESIDUAL_TOL * scale:
+            continue
+        if ref_roots.size == 0 or np.min(np.abs(ref_roots - z)) > STABILITY_TOL:
+            rejected += 1
+            continue
+        kept.append(complex(rho))
+    if n_upper > 0 and rejected > n_upper / 2:
+        raise UnstableSpectrum(f"{rejected} of {n_upper}")
+    kept.sort(key=lambda rho: (round(rho.real, 9), rho.imag))
+    return kept, rejected
+
+
+# coarse grids on which N = 6..60 pass through every outcome of the filter:
+# (spec, grid, N that raise UnstableSpectrum, N with exactly one rejection)
+PERSISTENCE_CASES = {
+    "ex2": (zs.PotentialSpec(preset="sech_amplitude", params={"mu": 5.0 + np.pi / 7.0}),
+            (30.0, 8001), list(range(6, 25, 3)), [27, 30]),
+    "ex3": (zs.PotentialSpec(preset="example3", params={"mu": np.pi / 7.0}),
+            (25.0, 6667), list(range(6, 25, 3)), []),
+    "mu2": (zs.PotentialSpec(preset="sech_amplitude", params={"mu": 2.0}),
+            (30.0, 6001), [], [6, 9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERSISTENCE_CASES))
+def test_persistence_filter_matches_two_solve_reference(name):
+    spec, grid, unstable, one_rejected = PERSISTENCE_CASES[name]
+    p = zs.evaluate(spec, zs.UniformGrid(*grid))
+    table = zs.compute_coefficients(zs.compute_basis(p), p, 60)
+    outcomes = {}
+    for N in range(6, 61, 3):
+        poly = zs.a_polynomial(table, N)
+        try:
+            expected, rejected = _two_solve_eigenvalues(poly, table, N)
+        except UnstableSpectrum:
+            with pytest.raises(UnstableSpectrum):
+                zs.find_eigenvalues(poly, table, N)
+            outcomes[N] = "unstable"
+            continue
+        kept = [ev.rho for ev in zs.find_eigenvalues(poly, table, N)]
+        assert len(kept) == len(expected), N
+        np.testing.assert_allclose(kept, expected, rtol=0.0, atol=1e-12)
+        outcomes[N] = rejected
+    assert [N for N, o in outcomes.items() if o == "unstable"] == unstable
+    assert [N for N, o in outcomes.items() if o == 1] == one_rejected
+    assert all(o == 0 for N, o in outcomes.items() if N not in unstable + one_rejected)
+
+
+def test_constant_reference_polynomial_rejects_every_candidate(zero_direct):
+    # orders 0..N-5 vanish, so the N-5 polynomial is the constant 1 and has
+    # no root for any candidate to persist to
+    N = 8
+    grid = zs.UniformGrid(1.0, 3)
+    rng = np.random.default_rng(12)
+    a = np.zeros((N + 1, 3), dtype=complex)
+    b = np.zeros_like(a)
+    a[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    b[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    table = zs.CoefficientTable(grid=grid, N_max=N, a=a, b=b)
+    reference = zs.a_polynomial(table, N - 5)
+    assert reference[0] == 1.0 and not np.any(reference[1:])
+    poly = zs.a_polynomial(table, N)
+    with pytest.raises(UnstableSpectrum):
+        _two_solve_eigenvalues(poly, table, N)
+    with pytest.raises(UnstableSpectrum, match=r"^(\d+) of \1 in-disk roots"):
+        zs.find_eigenvalues(poly, table, N)
+    # the zero potential's a-polynomial is constant itself: no candidates
+    p, _ = zero_direct
+    table = zs.compute_coefficients(zs.compute_basis(p), p, N)
+    assert zs.find_eigenvalues(zs.a_polynomial(table, N), table, N) == ()
+
+
+def _clear_of_half_integers(mu):
+    return abs(mu - np.floor(mu) - 0.5) >= 0.1
+
+
+@given(st.floats(0.6, 3.4).filter(_clear_of_half_integers))
+@settings(max_examples=12, deadline=None)
+def test_sech_amplitude_eigenvalues_satsuma_yajima(mu):
+    # q = mu sech x has the eigenvalues i(mu - m + 1/2), m = 1..floor(mu + 1/2)
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": mu}),
+                    zs.UniformGrid(30.0, 6001))
+    sd = zs.solve_direct(p, rho_count=200)
+    count = int(np.floor(mu + 0.5))
+    exact = [1j * (mu - m + 0.5) for m in range(count, 0, -1)]
+    rhos = sorted((ev.rho for ev in sd.eigenvalues), key=lambda rho: rho.imag)
+    assert len(rhos) == count
+    np.testing.assert_allclose(rhos, exact, rtol=0.0, atol=1e-6)

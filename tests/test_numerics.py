@@ -219,6 +219,28 @@ class TestPolynomialRoots:
         for f in factors:
             assert np.min(np.abs(roots - f)) < 1e-10
 
+    def test_real_coefficients_give_conjugate_pairs(self):
+        factors = np.array([0.5, -1.2, 0.3 + 0.8j, 0.3 - 0.8j, -0.6 + 0.2j, -0.6 - 0.2j])
+        coeffs = np.polynomial.polynomial.polyfromroots(factors).real
+        roots = polynomial_roots(coeffs)
+        assert roots.dtype == complex and roots.shape == (6,)
+        for f in factors:
+            assert np.min(np.abs(roots - f)) < 1e-12
+        # the real QR iteration returns exact conjugates and exactly real roots
+        assert np.count_nonzero(roots.imag == 0.0) == 2
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(np.conj(roots)))
+
+    def test_complex_coefficients_keep_complex_roots(self):
+        factors = np.array([0.3, 0.7j, -2.0, 1.0 - 0.5j])
+        coeffs = np.polynomial.polynomial.polyfromroots(factors)
+        assert np.iscomplexobj(coeffs)
+        roots = polynomial_roots(coeffs)
+        for f in factors:
+            assert np.min(np.abs(roots - f)) < 1e-10
+        # not closed under conjugation: -0.7j and 1 + 0.5j are not roots
+        assert np.min(np.abs(roots + 0.7j)) > 0.5
+        assert np.min(np.abs(roots - (1.0 + 0.5j))) > 0.5
+
     def test_constant_rejected(self):
         with pytest.raises(DegreeZero):
             polynomial_roots([3.0])
