@@ -11,8 +11,8 @@ from ._output import write_csv
 from .basis import compute_basis
 from .coeffs import (
     DEFAULT_N_MAX,
-    CoefficientTable,
-    compute_coefficients,
+    CoefficientSeries,
+    center_series,
     select_truncation_direct,
 )
 from .errors import (
@@ -57,19 +57,26 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class ScatteringData:
+    """Scattering data on a real rho grid, with eigenvalues and norming constants.
+
+    ``series`` holds a_n(0), b_n(0) for n = 0..N_max when the data come from
+    ``solve_direct``; it is not serialized and is None for data read from JSON.
+    """
+
     rho_grid: np.ndarray
     a_values: np.ndarray
     b_values: np.ndarray
     eigenvalues: tuple[Eigenvalue, ...]
     norming_constants: np.ndarray
     meta: dict = field(default_factory=dict)
+    series: CoefficientSeries | None = None
 
     @property
     def M(self) -> int:
         return len(self.eigenvalues)
 
 
-def scattering_coefficients(table: CoefficientTable, N: int, rho_grid: np.ndarray):
+def scattering_coefficients(series: CoefficientSeries, N: int, rho_grid: np.ndarray):
     """a(rho) and b(rho) on a real rho grid.
 
     Conjugate factors are evaluated directly at conj(z) rather than through
@@ -78,7 +85,7 @@ def scattering_coefficients(table: CoefficientTable, N: int, rho_grid: np.ndarra
     rho = np.asarray(rho_grid, dtype=float)
     z = z_of_rho(rho.astype(complex))
     zb = np.conj(z)
-    factors = JostFactors.from_table(table, N)
+    factors = JostFactors.from_series(series, N)
     Pb, Sb, Pa, Sa = factors.evaluate(z)
     _, _, Pa_c, Sa_c = factors.evaluate(zb)
     a_vals = Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
@@ -86,9 +93,9 @@ def scattering_coefficients(table: CoefficientTable, N: int, rho_grid: np.ndarra
     return a_vals, b_vals
 
 
-def a_polynomial(table: CoefficientTable, N: int) -> np.ndarray:
+def a_polynomial(series: CoefficientSeries, N: int) -> np.ndarray:
     """Ascending coefficients of the truncated a(rho) as a polynomial in z."""
-    return JostFactors.from_table(table, N).a_polynomial()
+    return JostFactors.from_series(series, N).a_polynomial()
 
 
 def _in_disk_roots(poly: np.ndarray, delta: float) -> np.ndarray:
@@ -102,7 +109,7 @@ def _in_disk_roots(poly: np.ndarray, delta: float) -> np.ndarray:
 
 def find_eigenvalues(
     poly: np.ndarray,
-    table: CoefficientTable,
+    series: CoefficientSeries,
     N: int,
     delta: float = DISK_MARGIN,
 ) -> tuple[Eigenvalue, ...]:
@@ -119,7 +126,7 @@ def find_eigenvalues(
     scale = float(np.max(np.abs(poly)))
     kept = []
     rejected_unstable = 0
-    reference = a_polynomial(table, N - 5) if N >= 6 else None
+    reference = a_polynomial(series, N - 5) if N >= 6 else None
     for z in candidates:
         rho = rho_of_z(z)
         if rho.imag <= 0:
@@ -163,10 +170,10 @@ def _persists(reference: np.ndarray, z: complex, delta: float) -> bool:
 
 
 def norming_constants(
-    table: CoefficientTable, N: int, eigenvalues: tuple[Eigenvalue, ...]
+    series: CoefficientSeries, N: int, eigenvalues: tuple[Eigenvalue, ...]
 ) -> np.ndarray:
     """c(rho_m) = phi1/psi1 at x = 0, falling back to phi2/psi2 if needed."""
-    factors = JostFactors.from_table(table, N)
+    factors = JostFactors.from_series(series, N)
     out = np.empty(len(eigenvalues), dtype=complex)
     for m, ev in enumerate(eigenvalues):
         z = ev.z
@@ -243,11 +250,16 @@ def solve_direct(
     n_terms: int | None = None,
     N_max: int = DEFAULT_N_MAX,
 ) -> ScatteringData:
-    """Full direct-problem pipeline for a sampled potential."""
+    """Full direct-problem pipeline for a sampled potential.
+
+    The coefficient recurrence keeps only a_n(0), b_n(0) (``center_series``);
+    they are returned in ``ScatteringData.series``.  The full x-table of a
+    diagnostic is built apart with ``compute_coefficients``.
+    """
     basis = compute_basis(p)
-    table = compute_coefficients(basis, p, N_max)
+    series = center_series(basis, p, N_max)
     if n_terms is None:
-        report = select_truncation_direct(table, p)
+        report = select_truncation_direct(series, p)
         N = report.chosen_N
     else:
         report = None
@@ -255,10 +267,10 @@ def solve_direct(
         if N > N_max:
             raise ValueError("n_terms exceeds N_max")
     rho_grid = np.linspace(-rho_max, rho_max, rho_count)
-    a_vals, b_vals = scattering_coefficients(table, N, rho_grid)
-    poly = a_polynomial(table, N)
-    eigenvalues = find_eigenvalues(poly, table, N)
-    norming = norming_constants(table, N, eigenvalues)
+    a_vals, b_vals = scattering_coefficients(series, N, rho_grid)
+    poly = a_polynomial(series, N)
+    eigenvalues = find_eigenvalues(poly, series, N)
+    norming = norming_constants(series, N, eigenvalues)
     meta = {
         "n_terms": N,
         "n_max": N_max,
@@ -274,16 +286,15 @@ def solve_direct(
     if report is not None:
         # an argmin at the cap means the sum rules had not settled
         meta["truncation"] = {"N_L": report.N_L, "N_R": report.N_R, "at_cap": N == N_max}
-    sd = ScatteringData(
+    return ScatteringData(
         rho_grid=rho_grid,
         a_values=a_vals,
         b_values=b_vals,
         eigenvalues=eigenvalues,
         norming_constants=norming,
         meta=meta,
+        series=series,
     )
-    sd.meta["table"] = table  # kept for downstream diagnostics, not serialized
-    return sd
 
 
 def validate_scattering(sd: ScatteringData) -> dict:

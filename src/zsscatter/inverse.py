@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,12 @@ DEFAULT_CANDIDATES = tuple(range(5, 101, 5))
 class InverseConfig:
     """Settings for the inverse sweep.
 
-    ``K`` collocation points are drawn evenly from the scattering-data rho
-    grid.  ``N`` may be an integer or "auto", in which case the Wronskian
-    flatness criterion picks it from ``candidates`` using the coarser
+    The solve uses up to ``K`` distinct rho points of the scattering data:
+    ``K`` targets evenly spaced in theta = arg z(rho) are each moved to the
+    nearest grid node, and targets that land on one node count once.  The
+    number actually used is reported as ``info["collocation_count"]``.  ``N``
+    may be an integer or "auto", in which case the Wronskian flatness
+    criterion picks it from ``candidates`` (integers >= 1) using the coarser
     selection grid (the selection solves are throwaway).
     """
 
@@ -41,6 +45,13 @@ class InverseConfig:
     candidates: tuple[int, ...] = DEFAULT_CANDIDATES
     selection_x_points: int = 81
     selection_K: int = 400
+
+    def __post_init__(self):
+        if not self.candidates:
+            raise ValueError("candidates must name at least one truncation order")
+        bad = [n for n in self.candidates if not isinstance(n, numbers.Integral) or n < 1]
+        if bad:
+            raise ValueError(f"candidates must be integers >= 1, got {bad}")
 
     def x_grid(self) -> UniformGrid:
         return UniformGrid(self.x_half_width, self.x_points)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientTable, tail_estimate
+from .coeffs import CoefficientSeries, CoefficientTable, tail_estimate
 from .errors import PoleAtMinusOne
 from .numerics import horner
 
@@ -68,17 +68,14 @@ class JostFactors:
     im_a: np.ndarray
 
     @classmethod
-    def from_table(
-        cls, table: CoefficientTable, N: int, x_index: int | None = None
-    ) -> "JostFactors":
-        """Coefficients up to order N at ``x_index`` (default: x = 0)."""
-        if N > table.N_max:
+    def from_series(cls, series: CoefficientSeries, N: int) -> "JostFactors":
+        """Coefficients up to order N of the series at one x node."""
+        if N > series.N_max:
             raise ValueError("N exceeds the available coefficient order")
-        j = table.grid.center_index if x_index is None else x_index
         sign = np.ones(N + 1)
         sign[1::2] = -1.0
-        b = table.b[: N + 1, j]
-        a = table.a[: N + 1, j]
+        b = series.b[: N + 1]
+        a = series.a[: N + 1]
         return cls(sign * b.real, sign * b.imag, sign * a.real, sign * a.imag)
 
     def evaluate(self, z):
@@ -126,7 +123,7 @@ def eval_jost(
     sp: SpectralPoint, x_index: int, table: CoefficientTable, N: int
 ) -> JostPair:
     """Truncated series values of both Jost solutions at one (rho, x)."""
-    Pb, Sb, Pa, Sa = JostFactors.from_table(table, N, x_index).evaluate(sp.z)
+    Pb, Sb, Pa, Sa = JostFactors.from_series(table.series_at(x_index), N).evaluate(sp.z)
     x = table.grid.nodes[x_index]
     em = np.exp(-1j * sp.rho * x)
     ep = np.exp(1j * sp.rho * x)

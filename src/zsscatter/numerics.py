@@ -1,7 +1,8 @@
 """Dense numerical kernels: grid, quadrature, ODE sweeps, roots, least squares.
 
 All routines operate on samples over a :class:`UniformGrid` and are pure
-functions; nothing here keeps mutable state between calls.
+functions; the only state kept between calls is the scratch buffers of a
+:class:`CumulativeIntegrator`, which its owner reuses.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
 
 __all__ = [
     "UniformGrid",
+    "CumulativeIntegrator",
     "cumulative_integral_from_left",
     "cumulative_integral_from_right",
     "integrate_linear_ode2",
@@ -66,39 +68,63 @@ class UniformGrid:
         return f
 
 
-def _subinterval_integrals(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
-    """Integral of f over every subinterval, exact for cubics.
+class CumulativeIntegrator:
+    """Cumulative integrals of samples on one grid, written into caller buffers.
 
-    Each subinterval [x_j, x_{j+1}] is integrated from the cubic through the
-    four nearest nodes (one-sided cubics at the two ends).
+    Each subinterval [x_j, x_{j+1}] is integrated exactly for cubics, from
+    the cubic through the four nearest nodes (one-sided cubics at the two
+    ends), and the subinterval integrals are summed from the left or from
+    the right.  The integrator owns its scratch arrays, so a loop that keeps
+    one integrator and its own ``out`` array allocates nothing per call.
     """
-    f = grid.require_same(f)
-    h = grid.step
-    n = grid.n_points
-    out = np.empty(n - 1, dtype=np.result_type(f.dtype, np.float64))
-    # interior: nodes j-1, j, j+1, j+2
-    out[1:-1] = (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:]) * (h / 24.0)
-    out[0] = (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]) * (h / 24.0)
-    out[-1] = (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1]) * (h / 24.0)
-    return out
+
+    def __init__(self, grid: UniformGrid, dtype=complex):
+        self.grid = grid
+        self._inc = np.empty(grid.n_points - 1, dtype=dtype)
+        self._work = np.empty(grid.n_points - 3, dtype=dtype)
+
+    def _subinterval_integrals(self, f: np.ndarray) -> np.ndarray:
+        f = self.grid.require_same(f)
+        h24 = self.grid.step / 24.0
+        inc, mid = self._inc, self._inc[1:-1]
+        # interior, nodes j-1, j, j+1, j+2: (-f + 13 f + 13 f - f) h/24,
+        # added left to right
+        np.multiply(13.0, f[1:-2], out=mid)
+        np.subtract(mid, f[:-3], out=mid)
+        np.add(mid, np.multiply(13.0, f[2:-1], out=self._work), out=mid)
+        np.subtract(mid, f[3:], out=mid)
+        np.multiply(mid, h24, out=mid)
+        inc[0] = (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]) * h24
+        inc[-1] = (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1]) * h24
+        return inc
+
+    def from_left(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[j] = integral of f from -a to x_j (0 at the first node); returns out."""
+        inc = self._subinterval_integrals(f)
+        out[0] = 0.0
+        np.cumsum(inc, out=out[1:])
+        return out
+
+    def from_right(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[j] = integral of f from x_j to +a (0 at the last node); returns out."""
+        inc = self._subinterval_integrals(f)
+        out[-1] = 0.0
+        np.cumsum(inc[::-1], out=out[-2::-1])
+        return out
 
 
 def cumulative_integral_from_left(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     """F(x_j) = integral of f from -a to x_j; F at the first node is 0."""
-    inc = _subinterval_integrals(grid, f)
-    out = np.empty(grid.n_points, dtype=inc.dtype)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
+    f = grid.require_same(f)
+    dtype = np.result_type(f.dtype, np.float64)
+    return CumulativeIntegrator(grid, dtype).from_left(f, np.empty(grid.n_points, dtype))
 
 
 def cumulative_integral_from_right(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     """F(x_j) = integral of f from x_j to +a; F at the last node is 0."""
-    inc = _subinterval_integrals(grid, f)
-    out = np.empty(grid.n_points, dtype=inc.dtype)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(inc[::-1])[::-1]
-    return out
+    f = grid.require_same(f)
+    dtype = np.result_type(f.dtype, np.float64)
+    return CumulativeIntegrator(grid, dtype).from_right(f, np.empty(grid.n_points, dtype))
 
 
 def midpoint_values(grid: UniformGrid, f: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared fixtures: the four reference potentials and their pipelines.
 
 The direct solves and roundtrips are expensive, so they are computed once
-per session and shared by the module tests and the acceptance suite.
+per session and shared by the module tests and the acceptance suite.  The
+direct solve keeps only the x = 0 series; tests that look at a_n(x), b_n(x)
+away from x = 0 use the full coefficient tables built here.
 """
 
 import numpy as np
@@ -99,6 +101,21 @@ def ex3_direct():
 @pytest.fixture(scope="session")
 def ex4_direct():
     return _direct("ex4")
+
+
+def _full_table(direct):
+    p, _ = direct
+    return zs.compute_coefficients(zs.compute_basis(p), p)
+
+
+@pytest.fixture(scope="session")
+def ex1_full_table(ex1_direct):
+    return _full_table(ex1_direct)
+
+
+@pytest.fixture(scope="session")
+def ex4_full_table(ex4_direct):
+    return _full_table(ex4_direct)
 
 
 @pytest.fixture(scope="session")

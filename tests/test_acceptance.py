@@ -135,9 +135,8 @@ def test_criterion5_parity_all_presets(fixture, request):
     assert report["b_parity_defect"] <= 1e-10
 
 
-def test_criterion5_wronskian_constancy(ex1_direct):
-    _, sd = ex1_direct
-    table = sd.meta["table"]
+def test_criterion5_wronskian_constancy(ex1_full_table):
+    table = ex1_full_table
     b0 = table.b[0]
     a0 = table.a[0]
     w = (1.0 + b0.real) * (1.0 + a0.real) + b0.imag * a0.imag
@@ -155,14 +154,14 @@ def test_criterion5_oracle_agreement(ex1_direct):
 
 def test_criterion5_sum_rules_at_chosen_n(ex1_direct):
     p, sd = ex1_direct
-    table = sd.meta["table"]
+    series = sd.series
     N = sd.meta["n_terms"]
-    g = table.grid
+    g = p.grid
     c = g.center_index
     half_right = cumulative_integral_from_right(g, p.q1)[c] / 2.0
     half_left = cumulative_integral_from_left(g, p.q1)[c] / 2.0
-    assert abs(np.sum(table.a[: N + 1, c]) - half_right) <= 1e-5
-    assert abs(np.sum(table.b[: N + 1, c]) - half_left) <= 1e-5
+    assert abs(np.sum(series.a[: N + 1]) - half_right) <= 1e-5
+    assert abs(np.sum(series.b[: N + 1]) - half_left) <= 1e-5
 
 
 def test_criterion5_no_spurious_eigenvalues(ex1_direct, ex2_direct,

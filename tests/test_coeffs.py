@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zsscatter as zs
+from zsscatter.errors import NonFiniteValue
 from zsscatter.numerics import cumulative_integral_from_left, cumulative_integral_from_right
 
 
@@ -23,7 +24,7 @@ def test_zero_potential_annihilation():
     table = zs.compute_coefficients(zs.compute_basis(p), p, 20)
     assert np.max(np.abs(table.a)) < 1e-10
     assert np.max(np.abs(table.b)) < 1e-10
-    report = zs.select_truncation_direct(table, p)
+    report = zs.select_truncation_direct(table.center, p)
     assert report.chosen_N == 0
     assert zs.tail_estimate(table, 5, table.grid.center_index) < 1e-10
 
@@ -34,7 +35,7 @@ def test_sum_rule_at_center(ex1_table):
     c = g.center_index
     half_right = cumulative_integral_from_right(g, p.q1)[c] / 2.0
     half_left = cumulative_integral_from_left(g, p.q1)[c] / 2.0
-    report = zs.select_truncation_direct(table, p)
+    report = zs.select_truncation_direct(table.center, p)
     N = report.chosen_N
     gap_a = abs(np.sum(table.a[: N + 1, c]) - half_right)
     gap_b = abs(np.sum(table.b[: N + 1, c]) - half_left)
@@ -102,3 +103,63 @@ def test_example4_truncation_choice(ex4_direct):
     _, sd = ex4_direct
     assert 37 <= sd.meta["n_terms"] <= 57
 
+
+def _reference_table(basis, p, N_max):
+    """The recurrence as whole-array expressions, one new array per step.
+
+    The streamed loop updates its arrays in place; it must perform the same
+    operations in the same order, so its table matches this one bit for bit.
+    """
+    grid = p.grid
+    exp_half = np.exp(grid.nodes / 2.0)
+    e, g, eta, xi = basis.e, basis.g, basis.eta, basis.xi
+    a = np.empty((N_max + 1, grid.n_points), dtype=complex)
+    b = np.empty_like(a)
+    a[0] = e * exp_half - 1.0
+    b[0] = g / exp_half - 1.0
+    w_e = (basis.e_prime - 0.5 * e) / exp_half
+    w_eta = (basis.eta_prime - 0.5 * eta) / exp_half
+    w_g = (basis.g_prime + 0.5 * g) * exp_half
+    w_xi = (basis.xi_prime + 0.5 * xi) * exp_half
+    J1 = J2 = I1 = I2 = np.zeros(grid.n_points, dtype=complex)
+    for n in range(1, N_max + 1):
+        ap, bp = a[n - 1], b[n - 1]
+        J1 = J1 - e / exp_half * ap - cumulative_integral_from_right(grid, w_e * ap)
+        J2 = J2 - eta / exp_half * ap - cumulative_integral_from_right(grid, w_eta * ap)
+        I1 = I1 + g * exp_half * bp - cumulative_integral_from_left(grid, w_g * bp)
+        I2 = I2 + xi * exp_half * bp - cumulative_integral_from_left(grid, w_xi * bp)
+        a[n] = a[0] - 2.0 * exp_half * (eta * J1 - e * J2)
+        b[n] = b[0] + 2.0 * (xi * I1 - g * I2) / exp_half
+    return a, b
+
+
+def test_table_matches_expression_reference(ex1_table):
+    p, table = ex1_table
+    a, b = _reference_table(zs.compute_basis(p), p, table.N_max)
+    assert np.array_equal(table.a, a)
+    assert np.array_equal(table.b, b)
+
+
+def test_center_series_is_the_table_column(ex1_table):
+    p, table = ex1_table
+    series = zs.center_series(zs.compute_basis(p), p, table.N_max)
+    assert np.array_equal(series.a, table.center.a)
+    assert np.array_equal(series.b, table.center.b)
+    zero = zs.evaluate(zs.PotentialSpec(preset="zero", params={}), zs.UniformGrid(10.0, 1001))
+    basis = zs.compute_basis(zero)
+    series = zs.center_series(basis, zero, 20)
+    table = zs.compute_coefficients(basis, zero, 20)
+    assert series.N_max == 20
+    assert np.array_equal(series.a, table.center.a)
+    assert np.array_equal(series.b, table.center.b)
+
+
+def test_recurrence_overflow_raises():
+    # a large amplitude on a coarse grid drives the recurrence to inf
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": 20.0}),
+                    zs.UniformGrid(30.0, 301))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue, match="recurrence overflowed"):
+            zs.compute_coefficients(zs.compute_basis(p), p)
+        with pytest.raises(NonFiniteValue, match="recurrence overflowed"):
+            zs.solve_direct(p, rho_count=200)

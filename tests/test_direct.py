@@ -1,12 +1,14 @@
 """Scattering coefficients, eigenvalues, norming constants, oracle checks."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
+from zsscatter.coeffs import DEFAULT_N_MAX
 from zsscatter.direct import (
     DISK_MARGIN,
     RESIDUAL_TOL,
@@ -28,8 +30,8 @@ def test_zero_potential_scattering(zero_direct):
 
 def test_zero_potential_a_polynomial(zero_direct):
     p, _ = zero_direct
-    table = zs.compute_coefficients(zs.compute_basis(p), p, 10)
-    poly = zs.a_polynomial(table, 10)
+    series = zs.center_series(zs.compute_basis(p), p, 10)
+    poly = zs.a_polynomial(series, 10)
     assert abs(poly[0] - 1.0) < 1e-12
     assert np.max(np.abs(poly[1:])) < 1e-10
 
@@ -42,10 +44,10 @@ def _a_from_factors(factors, z):
 
 def test_polynomial_matches_series(ex1_direct):
     _, sd = ex1_direct
-    table = sd.meta["table"]
+    series = sd.series
     N = sd.meta["n_terms"]
-    poly = zs.a_polynomial(table, N)
-    factors = JostFactors.from_table(table, N)
+    poly = zs.a_polynomial(series, N)
+    factors = JostFactors.from_series(series, N)
     rng = np.random.default_rng(3)
     for rho in rng.uniform(-20.0, 20.0, size=50):
         z = zs.z_of_rho(complex(rho))
@@ -58,9 +60,8 @@ def test_polynomial_matches_series(ex1_direct):
 
 def test_a_parity_off_axis(ex1_direct):
     _, sd = ex1_direct
-    table = sd.meta["table"]
     N = sd.meta["n_terms"]
-    factors = JostFactors.from_table(table, N)
+    factors = JostFactors.from_series(sd.series, N)
     rng = np.random.default_rng(5)
     for _ in range(50):
         rho = complex(rng.uniform(-3, 3), rng.uniform(0.01, 2.0))
@@ -167,6 +168,29 @@ def test_json_roundtrip(ex1_direct):
     assert zs.scattering_to_json(sd2) == text
 
 
+def test_series_is_kept_but_not_serialized(ex1_direct):
+    _, sd = ex1_direct
+    assert sd.series.N_max == sd.meta["n_max"]
+    assert sd.series.a.shape == sd.series.b.shape == (sd.meta["n_max"] + 1,)
+    assert zs.scattering_from_json(zs.scattering_to_json(sd)).series is None
+
+
+def test_direct_solve_keeps_no_coefficient_table():
+    # the direct problem needs a_n, b_n at x = 0 only; a solve that keeps
+    # a_n(x) for every order and node would need (N_max + 1) x n_points
+    # complex numbers for a alone
+    grid = zs.UniformGrid(15.0, 4001)
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": np.pi}), grid)
+    one_table = (DEFAULT_N_MAX + 1) * grid.n_points * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        zs.solve_direct(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_table / 4
+
+
 def test_json_field_order(ex4_direct):
     _, sd = ex4_direct
     payload = json.loads(zs.scattering_to_json(sd))
@@ -193,7 +217,7 @@ def test_truncation_at_cap_is_recorded(ex1_direct):
     assert ex1_direct[1].meta["truncation"]["at_cap"] is False
 
 
-def _two_solve_eigenvalues(poly, table, N, delta=DISK_MARGIN):
+def _two_solve_eigenvalues(poly, series, N, delta=DISK_MARGIN):
     """Reference persistence filter by a second companion solve.
 
     A candidate persists iff some in-disk root of the N-5 polynomial, found
@@ -209,7 +233,7 @@ def _two_solve_eigenvalues(poly, table, N, delta=DISK_MARGIN):
         return roots[np.abs(roots) < 1.0 - delta]
 
     candidates = in_disk_roots(poly)
-    ref_roots = in_disk_roots(zs.a_polynomial(table, N - 5))
+    ref_roots = in_disk_roots(zs.a_polynomial(series, N - 5))
     scale = float(np.max(np.abs(poly)))
     kept, rejected, n_upper = [], 0, 0
     for z in candidates:
@@ -245,18 +269,18 @@ PERSISTENCE_CASES = {
 def test_persistence_filter_matches_two_solve_reference(name):
     spec, grid, unstable, one_rejected = PERSISTENCE_CASES[name]
     p = zs.evaluate(spec, zs.UniformGrid(*grid))
-    table = zs.compute_coefficients(zs.compute_basis(p), p, 60)
+    series = zs.center_series(zs.compute_basis(p), p, 60)
     outcomes = {}
     for N in range(6, 61, 3):
-        poly = zs.a_polynomial(table, N)
+        poly = zs.a_polynomial(series, N)
         try:
-            expected, rejected = _two_solve_eigenvalues(poly, table, N)
+            expected, rejected = _two_solve_eigenvalues(poly, series, N)
         except UnstableSpectrum:
             with pytest.raises(UnstableSpectrum):
-                zs.find_eigenvalues(poly, table, N)
+                zs.find_eigenvalues(poly, series, N)
             outcomes[N] = "unstable"
             continue
-        kept = [ev.rho for ev in zs.find_eigenvalues(poly, table, N)]
+        kept = [ev.rho for ev in zs.find_eigenvalues(poly, series, N)]
         assert len(kept) == len(expected), N
         np.testing.assert_allclose(kept, expected, rtol=0.0, atol=1e-12)
         outcomes[N] = rejected
@@ -275,18 +299,18 @@ def test_constant_reference_polynomial_rejects_every_candidate(zero_direct):
     b = np.zeros_like(a)
     a[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
     b[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-    table = zs.CoefficientTable(grid=grid, N_max=N, a=a, b=b)
-    reference = zs.a_polynomial(table, N - 5)
+    series = zs.CoefficientTable(grid=grid, N_max=N, a=a, b=b).center
+    reference = zs.a_polynomial(series, N - 5)
     assert reference[0] == 1.0 and not np.any(reference[1:])
-    poly = zs.a_polynomial(table, N)
+    poly = zs.a_polynomial(series, N)
     with pytest.raises(UnstableSpectrum):
-        _two_solve_eigenvalues(poly, table, N)
+        _two_solve_eigenvalues(poly, series, N)
     with pytest.raises(UnstableSpectrum, match=r"^(\d+) of \1 in-disk roots"):
-        zs.find_eigenvalues(poly, table, N)
+        zs.find_eigenvalues(poly, series, N)
     # the zero potential's a-polynomial is constant itself: no candidates
     p, _ = zero_direct
-    table = zs.compute_coefficients(zs.compute_basis(p), p, N)
-    assert zs.find_eigenvalues(zs.a_polynomial(table, N), table, N) == ()
+    series = zs.center_series(zs.compute_basis(p), p, N)
+    assert zs.find_eigenvalues(zs.a_polynomial(series, N), series, N) == ()
 
 
 def _clear_of_half_integers(mu):

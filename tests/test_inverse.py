@@ -60,9 +60,9 @@ class TestAssembly:
         with pytest.raises(MissingSpectrumData):
             zs.assemble_system(0.0, broken, 5)
 
-    def test_forward_coefficients_satisfy_system(self, ex4_direct):
+    def test_forward_coefficients_satisfy_system(self, ex4_direct, ex4_full_table):
         _, sd = ex4_direct
-        table = sd.meta["table"]
+        table = ex4_full_table
         g = table.grid
         N = 25
         for x_target in (-3.0, 0.0, 2.0):
@@ -183,10 +183,9 @@ class TestRoundtrips:
         # b0 varies on the scale of the potential itself
         assert np.max(np.abs(slope)) < 4.0 * np.pi
 
-    def test_self_consistency_example4(self, ex4_direct, ex4_roundtrip):
-        _, sd = ex4_direct
+    def test_self_consistency_example4(self, ex4_full_table, ex4_roundtrip):
         _, coeffs, _, _ = ex4_roundtrip
-        table = sd.meta["table"]
+        table = ex4_full_table
         spline_r = CubicSpline(table.grid.nodes, table.b[0].real)
         spline_i = CubicSpline(table.grid.nodes, table.b[0].imag)
         x = coeffs.x_grid.nodes
@@ -206,6 +205,11 @@ class TestRecovery:
         )
         with pytest.raises(DenominatorNearZero):
             zs.recover_potential(coeffs)
+
+    @pytest.mark.parametrize("candidates", [(), (0,), (5, -10), (5, 2.5), ("10",)])
+    def test_invalid_candidates_rejected(self, candidates):
+        with pytest.raises(ValueError, match="candidates"):
+            zs.InverseConfig(candidates=candidates)
 
     def test_underdetermined_config_rejected(self):
         sd = _trivial_data(n_rho=20)

@@ -45,9 +45,9 @@ def test_zero_potential_plane_waves():
 
 
 @pytest.fixture(scope="module")
-def ex1_table(ex1_direct):
+def ex1_table(ex1_direct, ex1_full_table):
     _, sd = ex1_direct
-    return sd.meta["table"], sd.meta["n_terms"]
+    return ex1_full_table, sd.meta["n_terms"]
 
 
 def test_left_edge_asymptotics(ex1_table):

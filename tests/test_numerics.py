@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
 from zsscatter.numerics import (
+    CumulativeIntegrator,
     UniformGrid,
     cumulative_integral_from_left,
     cumulative_integral_from_right,
@@ -44,7 +45,42 @@ class TestUniformGrid:
             g.require_same(np.zeros(4))
 
 
+def _reference_cumulative(grid, f, from_right):
+    """The allocating quadrature the integrator replaced, kept as a reference."""
+    h = grid.step
+    inc = np.empty(grid.n_points - 1, dtype=np.result_type(f.dtype, np.float64))
+    inc[1:-1] = (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:]) * (h / 24.0)
+    inc[0] = (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]) * (h / 24.0)
+    inc[-1] = (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1]) * (h / 24.0)
+    out = np.empty(grid.n_points, dtype=inc.dtype)
+    if from_right:
+        out[-1] = 0.0
+        out[:-1] = np.cumsum(inc[::-1])[::-1]
+    else:
+        out[0] = 0.0
+        np.cumsum(inc, out=out[1:])
+    return out
+
+
 class TestCumulativeIntegrals:
+    @pytest.mark.parametrize("n", [5, 7, 2001])
+    def test_matches_allocating_reference_bit_for_bit(self, n):
+        g = UniformGrid(3.0, n)
+        rng = np.random.default_rng(n)
+        samples = [rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n),
+                   rng.integers(-5, 5, size=n)]
+        quad = CumulativeIntegrator(g)
+        out = np.empty(n, dtype=complex)
+        for f in samples:
+            for from_right, func in ((False, cumulative_integral_from_left),
+                                     (True, cumulative_integral_from_right)):
+                ref = _reference_cumulative(g, f, from_right)
+                got = func(g, f)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                # one integrator reused across calls, as the recurrence does
+                method = quad.from_right if from_right else quad.from_left
+                assert np.array_equal(method(f, out), ref)
+
     def test_constant_from_left(self):
         g = UniformGrid(1.0, 5)
         F = cumulative_integral_from_left(g, np.ones(5))
