@@ -1,9 +1,13 @@
 """Recurrent integration producing the power-series coefficients.
 
-The recurrence yields a_n(x), b_n(x) on the whole grid one order at a time,
-n = 0..N_max.  The direct problem needs only their values at x = 0
-(``center_series``); ``compute_coefficients`` stacks every order into the
-full x-table for diagnostics and tests.
+The recurrence yields a_n(x), b_n(x) one order at a time, n = 0..N_max.
+a_n is integrated from x towards +a and b_n from -a towards x, so the
+series at x = 0 (``center_series``, all the direct problem needs) depends
+on a window of N_max nodes on either side of x = 0 only: the a-chain runs
+on the nodes from N_max left of x = 0 to +a, the b-chain on the nodes from
+-a to N_max right of x = 0.  ``compute_coefficients`` runs both chains on
+the whole grid and stacks every order into the full x-table for
+diagnostics and tests.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ class TruncationReport:
 
 
 def _recurrence(
-    basis: JostBasis, p: SampledPotential, N_max: int
+    basis: JostBasis, p: SampledPotential, N_max: int, reach: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(a_n, b_n) on the grid for n = 0..N_max, one order at a time.
+    """(a_n, b_n) on the windows ``reach`` nodes past x = 0, for n = 0..N_max.
 
     The arguments are checked at once; the orders are computed as they are
     drawn, and a non-finite order raises NonFiniteValue when it is reached.
@@ -84,64 +88,78 @@ def _recurrence(
         raise ValueError("basis and potential must share the grid")
     if N_max < 0:
         raise ValueError("N_max must be >= 0")
-    return _orders(basis, p.grid, N_max)
+    if basis.reach < reach:
+        raise ValueError(
+            f"the basis reaches {basis.reach} nodes past x = 0; "
+            f"the recurrence needs {reach}"
+        )
+    return _orders(basis, p.grid, N_max, reach)
 
 
 def _orders(
-    basis: JostBasis, grid: UniformGrid, N_max: int
+    basis: JostBasis, grid: UniformGrid, N_max: int, reach: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The recurrence loop.
 
-    The integrands use the analytically expanded derivatives of the
-    basis-times-exponential products, e.g. (e*exp(-t/2))' = (e' - e/2)exp(-t/2),
-    so no numerical differentiation enters the recurrence.  The four running
-    integrals, the previous order and two scratch arrays are updated in
-    place, so the loop allocates nothing per order and each yielded pair is
-    overwritten by the next order.  Each update performs the operations of
-    the expression in its comment, in that order.
+    The a-chain (J1, J2, e, eta) runs on the nodes c - reach ... n - 1 and
+    the b-chain (I1, I2, g, xi) on 0 ... c + reach, c the centre index; the
+    yielded a_n and b_n cover those windows.  The integrands use the
+    analytically expanded derivatives of the basis-times-exponential
+    products, e.g. (e*exp(-t/2))' = (e' - e/2)exp(-t/2), so no numerical
+    differentiation enters the recurrence.  The four running integrals, the
+    previous order and scratch arrays are updated in place, so the loop
+    allocates nothing per order and each yielded pair is overwritten by the
+    next order.  Each update performs the operations of the expression in
+    its comment, in that order, on every node of its window.
     """
+    c = grid.center_index
     exp_half = np.exp(grid.nodes / 2.0)
-    e, g, eta, xi = basis.e, basis.g, basis.eta, basis.xi
+    win_a = slice(c - reach, grid.n_points)
+    win_b = slice(0, c + reach + 1)
 
-    a0 = e * exp_half - 1.0
-    b0 = g / exp_half - 1.0
+    ex_a = exp_half[win_a]
+    e, eta = basis.e[win_a], basis.eta[win_a]
+    a0 = e * ex_a - 1.0
+    w_e = (basis.e_prime[win_a] - 0.5 * e) / ex_a  # (e exp(-t/2))'
+    w_eta = (basis.eta_prime[win_a] - 0.5 * eta) / ex_a  # (eta exp(-t/2))'
+    e_m = e / ex_a
+    eta_m = eta / ex_a
+    two_ex_a = 2.0 * ex_a
 
-    # derivative weights for the recurrence integrands
-    w_e = (basis.e_prime - 0.5 * e) / exp_half  # (e exp(-t/2))'
-    w_eta = (basis.eta_prime - 0.5 * eta) / exp_half  # (eta exp(-t/2))'
-    w_g = (basis.g_prime + 0.5 * g) * exp_half  # (g exp(t/2))'
-    w_xi = (basis.xi_prime + 0.5 * xi) * exp_half  # (xi exp(t/2))'
+    ex_b = exp_half[win_b]
+    g, xi = basis.g[win_b], basis.xi[win_b]
+    b0 = g / ex_b - 1.0
+    w_g = (basis.g_prime[win_b] + 0.5 * g) * ex_b  # (g exp(t/2))'
+    w_xi = (basis.xi_prime[win_b] + 0.5 * xi) * ex_b  # (xi exp(t/2))'
+    g_p = g * ex_b
+    xi_p = xi * ex_b
 
-    e_m = e / exp_half
-    eta_m = eta / exp_half
-    g_p = g * exp_half
-    xi_p = xi * exp_half
-    two_exp_half = 2.0 * exp_half
-
-    quad = CumulativeIntegrator(grid)
-    J1, J2, I1, I2 = (np.zeros(grid.n_points, dtype=complex) for _ in range(4))
+    quad_a = CumulativeIntegrator(a0.size, grid.step)
+    quad_b = CumulativeIntegrator(b0.size, grid.step)
+    J1, J2 = np.zeros(a0.size, dtype=complex), np.zeros(a0.size, dtype=complex)
+    I1, I2 = np.zeros(b0.size, dtype=complex), np.zeros(b0.size, dtype=complex)
     ap, bp = a0.copy(), b0.copy()
-    t = np.empty(grid.n_points, dtype=complex)
-    u = np.empty_like(t)
+    ta, ua = np.empty_like(ap), np.empty_like(ap)
+    tb, ub = np.empty_like(bp), np.empty_like(bp)
     for n in range(N_max + 1):
         if n > 0:
             # J1 = J1 - e_m ap - (integral of w_e ap from x to +a); J2 likewise
             for J, m, w in ((J1, e_m, w_e), (J2, eta_m, w_eta)):
-                J -= np.multiply(m, ap, out=t)
-                J -= quad.from_right(np.multiply(w, ap, out=t), out=u)
+                J -= np.multiply(m, ap, out=ta)
+                J -= quad_a.from_right(np.multiply(w, ap, out=ta), out=ua)
             # I1 = I1 + g_p bp - (integral of w_g bp from -a to x); I2 likewise
             for I, m, w in ((I1, g_p, w_g), (I2, xi_p, w_xi)):
-                I += np.multiply(m, bp, out=t)
-                I -= quad.from_left(np.multiply(w, bp, out=t), out=u)
+                I += np.multiply(m, bp, out=tb)
+                I -= quad_b.from_left(np.multiply(w, bp, out=tb), out=ub)
             # ap = a0 - (2 exp_half) (eta J1 - e J2)
-            np.multiply(eta, J1, out=t)
-            t -= np.multiply(e, J2, out=u)
-            np.subtract(a0, np.multiply(two_exp_half, t, out=t), out=ap)
+            np.multiply(eta, J1, out=ta)
+            ta -= np.multiply(e, J2, out=ua)
+            np.subtract(a0, np.multiply(two_ex_a, ta, out=ta), out=ap)
             # bp = b0 + 2 (xi I1 - g I2) / exp_half
-            np.multiply(xi, I1, out=t)
-            t -= np.multiply(g, I2, out=u)
-            np.multiply(2.0, t, out=t)
-            np.add(b0, np.divide(t, exp_half, out=t), out=bp)
+            np.multiply(xi, I1, out=tb)
+            tb -= np.multiply(g, I2, out=ub)
+            np.multiply(2.0, tb, out=tb)
+            np.add(b0, np.divide(tb, ex_b, out=tb), out=bp)
         if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(bp))):
             raise NonFiniteValue(
                 "coefficient recurrence overflowed; reduce N_max or refine the grid"
@@ -152,13 +170,34 @@ def _orders(
 def center_series(
     basis: JostBasis, p: SampledPotential, N_max: int = DEFAULT_N_MAX
 ) -> CoefficientSeries:
-    """Run the coefficient recurrence up to order N_max, keeping only x = 0."""
-    rows = _recurrence(basis, p, N_max)
+    """Run the coefficient recurrence up to order N_max, keeping only x = 0.
+
+    Window bound (c the centre index, n_points >= 5): the order-n update of
+    J1, J2 at node j adds the integral from x_j to +a.  Its subinterval
+    [x_j, x_{j+1}] reads the nodes j - 1 ... j + 2, the other subintervals
+    lie further right, and the one-sided last one reads n_points - 4 ...
+    n_points - 1, right of c - 1.  So a_n on the nodes >= c - k (k >= 0)
+    reads a_{n-1} only on nodes >= c - k - 1, and a_n(0) reads the basis
+    only on nodes >= c - n.  Mirrored, b_n(0) reads only nodes <= c + n.  The a-chain
+    therefore runs on the nodes c - N_max ... n_points - 1 and the b-chain
+    on 0 ... c + N_max, clipped to the grid, and ``basis.reach`` must be at
+    least min(N_max, c), else ValueError.  At a window's cut the first
+    subinterval takes the one-sided cubic instead, so order n differs from
+    a whole-grid run only on the n nodes next to the cut, never at x = 0
+    for n <= N_max: the series is bit for bit the centre column of
+    ``compute_coefficients``.
+
+    The per-order finiteness check covers the two windows, exactly the
+    nodes the series depends on: an overflow confined to nodes that cannot
+    reach x = 0 within N_max orders does not raise.
+    """
     c = p.grid.center_index
+    reach = min(N_max, c)
+    rows = _recurrence(basis, p, N_max, reach)
     a = np.empty(N_max + 1, dtype=complex)
     b = np.empty_like(a)
     for n, (a_n, b_n) in enumerate(rows):
-        a[n] = a_n[c]
+        a[n] = a_n[reach]  # x = 0 in the a-window, which starts at c - reach
         b[n] = b_n[c]
     return CoefficientSeries(a=a, b=b)
 
@@ -168,10 +207,12 @@ def compute_coefficients(
 ) -> CoefficientTable:
     """Run the coefficient recurrence up to order N_max, keeping every x node.
 
-    The table takes (N_max + 1) x n_points complex numbers for each of a and
-    b; it serves diagnostics away from x = 0 (``eval_jost``, ``tail_estimate``).
+    Needs a whole-grid basis (``compute_basis`` without ``reach``), else
+    ValueError.  The table takes (N_max + 1) x n_points complex numbers for
+    each of a and b; it serves diagnostics away from x = 0 (``eval_jost``,
+    ``tail_estimate``).  The finiteness check covers the whole grid.
     """
-    rows = _recurrence(basis, p, N_max)
+    rows = _recurrence(basis, p, N_max, p.grid.center_index)
     a = np.empty((N_max + 1, p.grid.n_points), dtype=complex)
     b = np.empty_like(a)
     for n, (a_n, b_n) in enumerate(rows):

@@ -252,11 +252,13 @@ def solve_direct(
 ) -> ScatteringData:
     """Full direct-problem pipeline for a sampled potential.
 
-    The coefficient recurrence keeps only a_n(0), b_n(0) (``center_series``);
+    The basis is computed only N_max nodes past x = 0 on each side, and the
+    coefficient recurrence keeps only a_n(0), b_n(0) (``center_series``);
     they are returned in ``ScatteringData.series``.  The full x-table of a
-    diagnostic is built apart with ``compute_coefficients``.
+    diagnostic is built apart with ``compute_coefficients`` on a whole-grid
+    basis.
     """
-    basis = compute_basis(p)
+    basis = compute_basis(p, reach=N_max)
     series = center_series(basis, p, N_max)
     if n_terms is None:
         report = select_truncation_direct(series, p)

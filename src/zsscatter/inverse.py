@@ -52,6 +52,9 @@ class InverseConfig:
         bad = [n for n in self.candidates if not isinstance(n, numbers.Integral) or n < 1]
         if bad:
             raise ValueError(f"candidates must be integers >= 1, got {bad}")
+        # both grids are checked now, before any solve
+        self.x_grid()
+        self.selection_grid()
 
     def x_grid(self) -> UniformGrid:
         return UniformGrid(self.x_half_width, self.x_points)
@@ -102,7 +105,12 @@ class RecoveredPotential:
 
 
 class _FactorTables:
-    """x-independent pieces of the collocation rows for a fixed N."""
+    """x-independent pieces of the collocation rows for a fixed N.
+
+    The tables own the real system matrix of their sweep: ``assemble``
+    writes each x node's matrix into it, so the sweep allocates no
+    matrix-sized array per node.
+    """
 
     def __init__(self, sd: ScatteringData, N: int, K: int | None = None):
         if sd.M > 0 and len(sd.norming_constants) != sd.M:
@@ -133,41 +141,55 @@ class _FactorTables:
         zm = np.array([ev.z for ev in sd.eigenvalues], dtype=complex)
         self.Pzm = JostFactors.collocation_columns(zm, N)
         self.c = sd.norming_constants.astype(complex)
+        # complex rows s1 (K), s2 (K), s3 (M), s4 (M), each of four column
+        # blocks of N + 1; their real parts, then their imaginary parts.  The
+        # zero blocks are never written.
+        self._rows = 2 * (self.K + self.M)
+        self._A = np.zeros((2 * self._rows, 4 * (N + 1)))
+        self._product = np.empty((self.K, N + 1), dtype=complex)
+
+    def _put(self, row: int, block: int, product: np.ndarray) -> None:
+        """Write a complex block's real and imaginary parts into the matrix."""
+        rows = slice(row, row + product.shape[0])
+        imag_rows = slice(self._rows + row, self._rows + row + product.shape[0])
+        cols = slice(block * (self.N + 1), (block + 1) * (self.N + 1))
+        self._A[rows, cols] = product.real
+        self._A[imag_rows, cols] = product.imag
 
     def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        n1 = self.N + 1
+        """A and B at x; A is the tables' matrix, overwritten by the next call."""
+        K, put, prod = self.K, self._put, self._product
         em = np.exp(-1j * self.rho * x)
         ep = np.conj(em)  # rho is real on the collocation grid
-        zero = np.zeros((self.K, n1), dtype=complex)
-        s1 = np.hstack(
-            [em[:, None] * self.Pz, zero, -em[:, None] * self.aPzb, ep[:, None] * self.bPz]
-        )
+        # s1 = [em Pz, 0, -em aPzb, ep bPz], s2 = [0, em Pz, -ep bPz, -em aPzb]
+        put(0, 0, np.multiply(em[:, None], self.Pz, out=prod))
+        put(K, 1, prod)
+        put(0, 2, np.multiply(-em[:, None], self.aPzb, out=prod))
+        put(K, 3, prod)
+        put(0, 3, np.multiply(ep[:, None], self.bPz, out=prod))
+        put(K, 2, np.multiply(-ep[:, None], self.bPz, out=prod))
         r1 = (self.a - 1.0) * em
-        s2 = np.hstack(
-            [zero, em[:, None] * self.Pz, -ep[:, None] * self.bPz, -em[:, None] * self.aPzb]
-        )
         r2 = self.b * ep
-        rows = [s1, s2]
         rhs = [r1, r2]
         if self.M:
+            # s3 = [emm Pzm, 0, 0, cep Pzm], s4 = [0, emm Pzm, -cep Pzm, 0]
             emm = np.exp(-1j * self.rho_m * x)
             cep = self.c * np.exp(1j * self.rho_m * x)
-            zm0 = np.zeros((self.M, n1), dtype=complex)
-            s3 = np.hstack([emm[:, None] * self.Pzm, zm0, zm0, cep[:, None] * self.Pzm])
-            r3 = -emm
-            s4 = np.hstack([zm0, emm[:, None] * self.Pzm, -cep[:, None] * self.Pzm, zm0])
-            r4 = cep
-            rows += [s3, s4]
-            rhs += [r3, r4]
-        C = np.vstack(rows)
+            put(2 * K, 0, emm[:, None] * self.Pzm)
+            put(2 * K + self.M, 1, emm[:, None] * self.Pzm)
+            put(2 * K, 3, cep[:, None] * self.Pzm)
+            put(2 * K + self.M, 2, -cep[:, None] * self.Pzm)
+            rhs += [-emm, cep]
         r = np.concatenate(rhs)
-        A = np.vstack([C.real, C.imag])
         B = np.concatenate([r.real, r.imag])
-        return A, B
+        return self._A, B
 
 
 def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real collocation system A X = B at one x; A is 4(K+M) x 4(N+1)."""
+    """Real collocation system A X = B at one x; A is 4(K+M) x 4(N+1).
+
+    The arrays are the caller's: no later call overwrites them.
+    """
     return _FactorTables(sd, N).assemble(x)
 
 

@@ -31,10 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Uniform symmetric grid on [-a, a] with an odd node count.
+    """Uniform symmetric grid on [-a, a] with an odd node count of at least 5.
 
     The odd count guarantees that x = 0 is exactly a node, which anchors
-    the quadratures used by the coefficient recurrences.
+    the quadratures used by the coefficient recurrences.  Five nodes is the
+    widest stencil in this module (the one-sided derivative of
+    ``differentiate``).
     """
 
     half_width: float
@@ -44,8 +46,8 @@ class UniformGrid:
     def __post_init__(self):
         if not (self.half_width > 0):
             raise ValueError("half_width must be positive")
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError("n_points must be odd and >= 3")
+        if self.n_points < 5 or self.n_points % 2 == 0:
+            raise ValueError("n_points must be odd and >= 5")
         nodes = np.linspace(-self.half_width, self.half_width, self.n_points)
         nodes[self.n_points // 2] = 0.0
         nodes.flags.writeable = False
@@ -69,23 +71,29 @@ class UniformGrid:
 
 
 class CumulativeIntegrator:
-    """Cumulative integrals of samples on one grid, written into caller buffers.
+    """Cumulative integrals of samples on n >= 4 equally spaced nodes, into caller buffers.
 
     Each subinterval [x_j, x_{j+1}] is integrated exactly for cubics, from
     the cubic through the four nearest nodes (one-sided cubics at the two
     ends), and the subinterval integrals are summed from the left or from
-    the right.  The integrator owns its scratch arrays, so a loop that keeps
-    one integrator and its own ``out`` array allocates nothing per call.
+    the right.  The nodes may be a whole ``UniformGrid`` or a run of
+    consecutive nodes of one.  The integrator owns its scratch arrays, so a
+    loop that keeps one integrator and its own ``out`` array allocates
+    nothing per call.
     """
 
-    def __init__(self, grid: UniformGrid, dtype=complex):
-        self.grid = grid
-        self._inc = np.empty(grid.n_points - 1, dtype=dtype)
-        self._work = np.empty(grid.n_points - 3, dtype=dtype)
+    def __init__(self, n_points: int, step: float, dtype=complex):
+        self.n_points = n_points
+        self.step = step
+        self._inc = np.empty(n_points - 1, dtype=dtype)
+        self._work = np.empty(n_points - 3, dtype=dtype)
 
     def _subinterval_integrals(self, f: np.ndarray) -> np.ndarray:
-        f = self.grid.require_same(f)
-        h24 = self.grid.step / 24.0
+        if f.shape != (self.n_points,):
+            raise ValueError(
+                f"samples of shape {f.shape} do not match {self.n_points} nodes"
+            )
+        h24 = self.step / 24.0
         inc, mid = self._inc, self._inc[1:-1]
         # interior, nodes j-1, j, j+1, j+2: (-f + 13 f + 13 f - f) h/24,
         # added left to right
@@ -99,14 +107,14 @@ class CumulativeIntegrator:
         return inc
 
     def from_left(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[j] = integral of f from -a to x_j (0 at the first node); returns out."""
+        """out[j] = integral of f from the first node to x_j (0 there); returns out."""
         inc = self._subinterval_integrals(f)
         out[0] = 0.0
         np.cumsum(inc, out=out[1:])
         return out
 
     def from_right(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[j] = integral of f from x_j to +a (0 at the last node); returns out."""
+        """out[j] = integral of f from x_j to the last node (0 there); returns out."""
         inc = self._subinterval_integrals(f)
         out[-1] = 0.0
         np.cumsum(inc[::-1], out=out[-2::-1])
@@ -117,14 +125,16 @@ def cumulative_integral_from_left(grid: UniformGrid, f: np.ndarray) -> np.ndarra
     """F(x_j) = integral of f from -a to x_j; F at the first node is 0."""
     f = grid.require_same(f)
     dtype = np.result_type(f.dtype, np.float64)
-    return CumulativeIntegrator(grid, dtype).from_left(f, np.empty(grid.n_points, dtype))
+    quad = CumulativeIntegrator(grid.n_points, grid.step, dtype)
+    return quad.from_left(f, np.empty(grid.n_points, dtype))
 
 
 def cumulative_integral_from_right(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     """F(x_j) = integral of f from x_j to +a; F at the last node is 0."""
     f = grid.require_same(f)
     dtype = np.result_type(f.dtype, np.float64)
-    return CumulativeIntegrator(grid, dtype).from_right(f, np.empty(grid.n_points, dtype))
+    quad = CumulativeIntegrator(grid.n_points, grid.step, dtype)
+    return quad.from_right(f, np.empty(grid.n_points, dtype))
 
 
 def midpoint_values(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
@@ -148,28 +158,36 @@ def integrate_linear_ode2(
     start_value: complex,
     start_slope: complex,
     direction: int,
+    stop_index: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve w'' + drift*w' = Q*w by a classical 4-stage one-step sweep.
 
-    The sweep starts at ``start_index`` and proceeds to the grid end in
-    ``direction`` (+1 rightward, -1 leftward).  Q is interpolated at the
-    half-steps by cubics through the nearest samples.  Returns (w, w') with
-    untouched nodes left at zero; callers doing two-sided sweeps merge them.
+    The sweep starts at ``start_index`` and proceeds in ``direction`` (+1
+    rightward, -1 leftward) to ``stop_index``, by default the grid end.  Q is
+    interpolated at the half-steps by cubics through the nearest samples.
+    Returns (w, w') with the nodes the sweep did not reach left at NaN;
+    callers doing two-sided sweeps merge them.  The overflow guard and the
+    finiteness check cover the swept nodes only.
     """
     Q = grid.require_same(Q)
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
+    n = grid.n_points
+    if stop_index is None:
+        stop_index = n - 1 if direction == 1 else 0
+    if not (0 <= start_index < n and 0 <= stop_index < n):
+        raise ValueError("start_index and stop_index must be grid nodes")
+    if (stop_index - start_index) * direction < 0:
+        raise ValueError("stop_index lies behind start_index in the sweep direction")
     h = grid.step * direction
     Qh = midpoint_values(grid, Q)
-    n = grid.n_points
-    w = np.zeros(n, dtype=complex)
-    wp = np.zeros(n, dtype=complex)
+    w = np.full(n, np.nan, dtype=complex)
+    wp = np.full(n, np.nan, dtype=complex)
     u = complex(start_value)
     v = complex(start_slope)
     w[start_index] = u
     wp[start_index] = v
-    rng = range(start_index, n - 1) if direction == 1 else range(start_index, 0, -1)
-    for j in rng:
+    for j in range(start_index, stop_index, direction):
         q0 = complex(Q[j])
         qm = complex(Qh[j]) if direction == 1 else complex(Qh[j - 1])
         q1 = complex(Q[j + direction])
@@ -194,7 +212,8 @@ def integrate_linear_ode2(
             raise NonFiniteValue("ODE sweep overflowed or produced NaN")
         w[j + direction] = u
         wp[j + direction] = v
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wp))):
+    swept = slice(min(start_index, stop_index), max(start_index, stop_index) + 1)
+    if not (np.all(np.isfinite(w[swept])) and np.all(np.isfinite(wp[swept]))):
         raise NonFiniteValue("ODE sweep produced non-finite samples")
     return w, wp
 

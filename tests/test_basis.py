@@ -98,3 +98,21 @@ def test_degenerate_normalization_detected():
     except BasisDegenerate:
         return
     assert abs(basis.e[g.center_index]) >= 1e-10
+
+
+def test_reach_stops_the_sweeps(example1_basis):
+    p, full = example1_basis
+    c, n = p.grid.center_index, p.grid.n_points
+    reach = 40
+    basis = zs.compute_basis(p, reach=reach)
+    assert basis.reach == reach and full.reach == c
+    for names, reached in ((("e", "e_prime", "eta", "eta_prime"), slice(c - reach, n)),
+                           (("g", "g_prime", "xi", "xi_prime"), slice(0, c + reach + 1))):
+        for name in names:
+            got, ref = getattr(basis, name), getattr(full, name)
+            assert np.array_equal(got[reached], ref[reached]), name
+            outside = np.ones(n, dtype=bool)
+            outside[reached] = False
+            assert np.all(np.isnan(got[outside])), name
+    with pytest.raises(ValueError):
+        zs.compute_basis(p, reach=-1)

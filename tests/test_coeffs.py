@@ -163,3 +163,94 @@ def test_recurrence_overflow_raises():
             zs.compute_coefficients(zs.compute_basis(p), p)
         with pytest.raises(NonFiniteValue, match="recurrence overflowed"):
             zs.solve_direct(p, rho_count=200)
+
+
+_A_SIDE = ("e", "e_prime", "eta", "eta_prime")
+_B_SIDE = ("g", "g_prime", "xi", "xi_prime")
+
+
+def _scaled_at(basis, names, nodes, factor):
+    """A copy of ``basis`` whose arrays ``names`` are multiplied by ``factor`` at ``nodes``."""
+    changed = {}
+    for name in names:
+        arr = getattr(basis, name).copy()
+        arr[nodes] *= factor
+        changed[name] = arr
+    return dataclasses.replace(basis, **changed)
+
+
+@pytest.fixture(scope="module", params=["sech_scaled", "zero"])
+def small_case(request):
+    params = {"mu": np.pi} if request.param == "sech_scaled" else {}
+    p = zs.evaluate(zs.PotentialSpec(preset=request.param, params=params),
+                    zs.UniformGrid(4.0, 101))
+    basis = zs.compute_basis(p)
+    return p, basis, zs.compute_coefficients(basis, p, 250)
+
+
+def test_windowed_series_is_the_table_column(small_case):
+    p, _, table = small_case
+    c = p.grid.center_index
+    # c - 1 and beyond clip the windows to the grid
+    for N_max in (0, 1, c - 2, c - 1, c, c + 1, 250):
+        series = zs.center_series(zs.compute_basis(p, reach=N_max), p, N_max)
+        assert np.array_equal(series.a, table.a[: N_max + 1, c]), N_max
+        assert np.array_equal(series.b, table.b[: N_max + 1, c]), N_max
+
+
+def test_series_ignores_nodes_outside_the_windows(small_case):
+    p, basis, table = small_case
+    c = p.grid.center_index
+    for N_max in (0, 1, 5, c - 1):
+        poisoned = _scaled_at(basis, _A_SIDE, slice(0, c - N_max), np.nan)
+        poisoned = _scaled_at(poisoned, _B_SIDE, slice(c + N_max + 1, None), np.nan)
+        series = zs.center_series(poisoned, p, N_max)
+        assert np.array_equal(series.a, table.a[: N_max + 1, c]), N_max
+        assert np.array_equal(series.b, table.b[: N_max + 1, c]), N_max
+
+
+def test_window_bound_is_tight():
+    # a_n(0) reads the basis on nodes >= c - n: doubling it at c - N changes
+    # a_N(0) but no lower order, so a window one node narrower is wrong
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": np.pi}),
+                    zs.UniformGrid(4.0, 101))
+    basis = zs.compute_basis(p)
+    c = p.grid.center_index
+    for N in (1, 2, 3):
+        ref = zs.center_series(basis, p, N)
+        a_side = zs.center_series(_scaled_at(basis, _A_SIDE, c - N, 2.0), p, N)
+        b_side = zs.center_series(_scaled_at(basis, _B_SIDE, c + N, 2.0), p, N)
+        assert np.array_equal(a_side.a[:N], ref.a[:N]) and a_side.a[N] != ref.a[N], N
+        assert np.array_equal(b_side.b[:N], ref.b[:N]) and b_side.b[N] != ref.b[N], N
+        assert np.array_equal(a_side.b, ref.b) and np.array_equal(b_side.a, ref.a), N
+
+
+def test_short_reach_is_rejected(small_case):
+    p, _, _ = small_case
+    with pytest.raises(ValueError, match="reaches 9 nodes"):
+        zs.center_series(zs.compute_basis(p, reach=9), p, 10)
+    with pytest.raises(ValueError, match="reaches 10 nodes"):
+        zs.compute_coefficients(zs.compute_basis(p, reach=10), p, 5)
+    # a reach past the centre index is the whole grid
+    assert zs.compute_basis(p, reach=10**6).reach == p.grid.center_index
+
+
+def test_direct_solve_sweeps_only_the_windows(monkeypatch):
+    steps = []
+    original = zs.basis.integrate_linear_ode2
+
+    def spy(*args, **kwargs):
+        w, wp = original(*args, **kwargs)
+        # the nodes a sweep did not reach hold NaN
+        steps.append(np.count_nonzero(~np.isnan(w)) - 1)
+        return w, wp
+
+    monkeypatch.setattr(zs.basis, "integrate_linear_ode2", spy)
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": np.pi}),
+                    zs.UniformGrid(15.0, 16001))
+    n, N_max = p.grid.n_points, 250
+    zs.compute_basis(p)
+    assert sum(steps) == 4 * (n - 1)
+    steps.clear()
+    zs.solve_direct(p, rho_count=400, N_max=N_max)
+    assert sum(steps) <= 2 * (n - 1) + 4 * (N_max + 1)

@@ -293,12 +293,12 @@ def test_constant_reference_polynomial_rejects_every_candidate(zero_direct):
     # orders 0..N-5 vanish, so the N-5 polynomial is the constant 1 and has
     # no root for any candidate to persist to
     N = 8
-    grid = zs.UniformGrid(1.0, 3)
+    grid = zs.UniformGrid(1.0, 5)
     rng = np.random.default_rng(12)
-    a = np.zeros((N + 1, 3), dtype=complex)
+    a = np.zeros((N + 1, 5), dtype=complex)
     b = np.zeros_like(a)
-    a[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-    b[N - 4:] = 10.0 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    a[N - 4:] = 10.0 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    b[N - 4:] = 10.0 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     series = zs.CoefficientTable(grid=grid, N_max=N, a=a, b=b).center
     reference = zs.a_polynomial(series, N - 5)
     assert reference[0] == 1.0 and not np.any(reference[1:])

@@ -74,6 +74,67 @@ class TestAssembly:
             assert np.linalg.norm(A @ X - B) < 1e-4 * max(1.0, np.linalg.norm(B))
 
 
+def _reference_assemble(tables, x):
+    """The allocating assembly the per-sweep matrix replaced, kept as a reference."""
+    n1 = tables.N + 1
+    em = np.exp(-1j * tables.rho * x)
+    ep = np.conj(em)
+    zero = np.zeros((tables.K, n1), dtype=complex)
+    s1 = np.hstack([em[:, None] * tables.Pz, zero, -em[:, None] * tables.aPzb,
+                    ep[:, None] * tables.bPz])
+    r1 = (tables.a - 1.0) * em
+    s2 = np.hstack([zero, em[:, None] * tables.Pz, -ep[:, None] * tables.bPz,
+                    -em[:, None] * tables.aPzb])
+    r2 = tables.b * ep
+    rows = [s1, s2]
+    rhs = [r1, r2]
+    if tables.M:
+        emm = np.exp(-1j * tables.rho_m * x)
+        cep = tables.c * np.exp(1j * tables.rho_m * x)
+        zm0 = np.zeros((tables.M, n1), dtype=complex)
+        rows += [np.hstack([emm[:, None] * tables.Pzm, zm0, zm0, cep[:, None] * tables.Pzm]),
+                 np.hstack([zm0, emm[:, None] * tables.Pzm, -cep[:, None] * tables.Pzm, zm0])]
+        rhs += [-emm, cep]
+    C = np.vstack(rows)
+    r = np.concatenate(rhs)
+    return np.vstack([C.real, C.imag]), np.concatenate([r.real, r.imag])
+
+
+@pytest.fixture(scope="module", params=[(0.4, 0), (1.3, 1)], ids=["M0", "M1"])
+def sech_data(request):
+    # mu = 0.4 has no eigenvalue, mu = 1.3 one, at 0.8i
+    mu, M = request.param
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": mu}),
+                    zs.UniformGrid(20.0, 4001))
+    sd = zs.solve_direct(p, rho_count=1000)
+    assert sd.M == M
+    return sd
+
+
+class TestSweepBuffers:
+    def test_matches_allocating_assembly(self, sech_data):
+        sd = sech_data
+        for K in (None, 400):
+            tables = inverse._FactorTables(sd, 25, K)
+            for x in (-2.0, 0.0, 1.3):
+                A, B = tables.assemble(x)
+                A_ref, B_ref = _reference_assemble(tables, x)
+                assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+        # assemble_system hands out arrays no later call overwrites
+        A0, B0 = zs.assemble_system(-2.0, sd, 25)
+        zs.assemble_system(1.3, sd, 25)
+        A_ref, B_ref = _reference_assemble(inverse._FactorTables(sd, 25), -2.0)
+        assert np.array_equal(A0, A_ref) and np.array_equal(B0, B_ref)
+
+    def test_sweep_equals_fresh_per_node_solves(self, sech_data):
+        sd = sech_data
+        grid = zs.UniformGrid(1.0, 11)
+        X = inverse._solve_sweep(inverse._FactorTables(sd, 20), grid).X
+        for j, x in enumerate(grid.nodes):
+            A, B = zs.assemble_system(float(x), sd, 20)
+            assert np.array_equal(X[j], zs.least_squares_solve(A, B, on_deficient="truncate")[0])
+
+
 class TestTrivialPipeline:
     def test_solution_is_zero(self):
         sd = _trivial_data()
@@ -210,6 +271,12 @@ class TestRecovery:
     def test_invalid_candidates_rejected(self, candidates):
         with pytest.raises(ValueError, match="candidates"):
             zs.InverseConfig(candidates=candidates)
+
+    @pytest.mark.parametrize("field", ["x_points", "selection_x_points"])
+    def test_tiny_grids_rejected(self, field):
+        # the five-point derivative of the recovery needs five nodes
+        with pytest.raises(ValueError, match=">= 5"):
+            zs.InverseConfig(**{field: 3})
 
     def test_underdetermined_config_rejected(self):
         sd = _trivial_data(n_rho=20)

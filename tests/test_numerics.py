@@ -30,7 +30,7 @@ class TestUniformGrid:
         g = UniformGrid(15.0, 16001)
         assert g.nodes[g.center_index] == 0.0
 
-    @pytest.mark.parametrize("n", [2, 4, 1])
+    @pytest.mark.parametrize("n", [2, 4, 1, 3])
     def test_rejects_even_or_tiny_counts(self, n):
         with pytest.raises(ValueError):
             UniformGrid(1.0, n)
@@ -69,7 +69,7 @@ class TestCumulativeIntegrals:
         rng = np.random.default_rng(n)
         samples = [rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n),
                    rng.integers(-5, 5, size=n)]
-        quad = CumulativeIntegrator(g)
+        quad = CumulativeIntegrator(g.n_points, g.step)
         out = np.empty(n, dtype=complex)
         for f in samples:
             for from_right, func in ((False, cumulative_integral_from_left),
@@ -80,6 +80,20 @@ class TestCumulativeIntegrals:
                 # one integrator reused across calls, as the recurrence does
                 method = quad.from_right if from_right else quad.from_left
                 assert np.array_equal(method(f, out), ref)
+
+    @pytest.mark.parametrize("start", [1, 4, 1000])
+    def test_node_run_matches_whole_grid_past_its_first_interval(self, start):
+        # on the nodes start..n-1 only the first subinterval takes the
+        # one-sided cubic; every later cumulative integral is the same
+        g = UniformGrid(3.0, 2001)
+        f = np.random.default_rng(start).normal(size=g.n_points) * (1.0 + 0.5j)
+        quad = CumulativeIntegrator(g.n_points - start, g.step)
+        run = quad.from_right(f[start:], np.empty(g.n_points - start, dtype=complex))
+        whole = cumulative_integral_from_right(g, f)
+        assert np.array_equal(run[1:], whole[start + 1:])
+        quad = CumulativeIntegrator(start + 4, g.step)
+        run = quad.from_left(f[: start + 4], np.empty(start + 4, dtype=complex))
+        assert np.array_equal(run[:-1], cumulative_integral_from_left(g, f)[: start + 3])
 
     def test_constant_from_left(self):
         g = UniformGrid(1.0, 5)
@@ -164,6 +178,37 @@ class TestOdeIntegration:
             return np.max(np.abs(w - np.cosh(2.0 * (g.nodes + 1.0))))
 
         assert max_err(101) / max_err(201) >= 12.0
+
+    @pytest.mark.parametrize("direction,start,stop", [(1, 0, 60), (-1, 100, 30), (1, 50, 50)])
+    def test_stop_index_ends_the_sweep(self, direction, start, stop):
+        g = UniformGrid(1.0, 101)
+        Q = 4.0 + np.sin(g.nodes)
+        args = (g, Q, 0.3, start, 1.0, 0.5, direction)
+        w_full, wp_full = integrate_linear_ode2(*args)
+        w, wp = integrate_linear_ode2(*args, stop_index=stop)
+        swept = slice(min(start, stop), max(start, stop) + 1)
+        assert np.array_equal(w[swept], w_full[swept])
+        assert np.array_equal(wp[swept], wp_full[swept])
+        rest = np.ones(101, dtype=bool)
+        rest[swept] = False
+        assert np.all(np.isnan(w[rest])) and np.all(np.isnan(wp[rest]))
+
+    def test_stop_index_behind_start_rejected(self):
+        g = UniformGrid(1.0, 11)
+        with pytest.raises(ValueError):
+            integrate_linear_ode2(g, np.zeros(11), drift=0.0, start_index=5,
+                                  start_value=1.0, start_slope=0.0, direction=1,
+                                  stop_index=4)
+
+    def test_overflow_beyond_stop_index_is_not_reached(self):
+        g = UniformGrid(1.0, 101)
+        Q = np.where(g.nodes > 0.5, 1e8, 1.0)
+        w, _ = integrate_linear_ode2(g, Q, drift=0.0, start_index=0, start_value=1.0,
+                                     start_slope=0.0, direction=1, stop_index=70)
+        assert np.all(np.isfinite(w[:71]))
+        with pytest.raises(NonFiniteValue):
+            integrate_linear_ode2(g, Q, drift=0.0, start_index=0, start_value=1.0,
+                                  start_slope=0.0, direction=1)
 
     def test_overflow_raises(self):
         g = UniformGrid(1.0, 101)
