@@ -154,6 +154,7 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "chosen_N": info["chosen_N"],
         "collocation_count": info["collocation_count"],
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
+        "selection_fallbacks": info.get("selection_fallbacks", 0),
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],
         "discrepancy": info["discrepancy"],

@@ -9,7 +9,13 @@ import numpy as np
 
 from .errors import DenominatorNearZero, MissingSpectrumData, RankDeficient
 from .jost import JostFactors, z_of_rho
-from .numerics import UniformGrid, differentiate, least_squares_solve
+from .numerics import (
+    UniformGrid,
+    differentiate,
+    least_squares_solve,
+    qr_stage_one,
+    qr_stage_two,
+)
 from .direct import ScatteringData
 
 __all__ = [
@@ -25,6 +31,11 @@ __all__ = [
 DEFAULT_CANDIDATES = tuple(range(5, 101, 5))
 
 
+def _is_count(n) -> bool:
+    """An integer >= 1 of any integral type but bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass(frozen=True)
 class InverseConfig:
     """Settings for the inverse sweep.
@@ -33,9 +44,12 @@ class InverseConfig:
     ``K`` targets evenly spaced in theta = arg z(rho) are each moved to the
     nearest grid node, and targets that land on one node count once.  The
     number actually used is reported as ``info["collocation_count"]``.  ``N``
-    may be an integer or "auto", in which case the Wronskian flatness
-    criterion picks it from ``candidates`` (integers >= 1) using the coarser
-    selection grid (the selection solves are throwaway).
+    may be an integer >= 1 (any ``numbers.Integral`` but ``bool``) or
+    "auto", in which case the Wronskian flatness criterion picks it from
+    ``candidates`` (integers >= 1, in any order, repeats counted once) on
+    the coarser selection grid with ``selection_K`` collocation targets
+    (see :func:`select_truncation_inverse`).  ``K`` and ``selection_K``
+    are integers >= 1.  Invalid values raise ``ValueError``.
     """
 
     x_half_width: float = 8.0
@@ -47,9 +61,14 @@ class InverseConfig:
     selection_K: int = 400
 
     def __post_init__(self):
+        if self.N != "auto" and not _is_count(self.N):
+            raise ValueError(f'N must be "auto" or an integer >= 1, got {self.N!r}')
+        for name in ("K", "selection_K"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not self.candidates:
             raise ValueError("candidates must name at least one truncation order")
-        bad = [n for n in self.candidates if not isinstance(n, numbers.Integral) or n < 1]
+        bad = [n for n in self.candidates if not _is_count(n)]
         if bad:
             raise ValueError(f"candidates must be integers >= 1, got {bad}")
         # both grids are checked now, before any solve
@@ -92,7 +111,12 @@ class RecoveredCoefficients:
         return self._block(3)
 
     def wronskian_curve(self) -> np.ndarray:
-        return (1.0 + self.re_b0) * (1.0 + self.re_a0) + self.im_b0 * self.im_a0
+        return _wronskian_curve(self.re_b0, self.im_b0, self.re_a0, self.im_a0)
+
+
+def _wronskian_curve(re_b0, im_b0, re_a0, im_a0) -> np.ndarray:
+    """The x-independent bilinear form of the two order-zero coefficient pairs."""
+    return (1.0 + re_b0) * (1.0 + re_a0) + im_b0 * im_a0
 
 
 @dataclass(frozen=True)
@@ -193,10 +217,14 @@ def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, n
     return _FactorTables(sd, N).assemble(x)
 
 
-def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
-    N = tables.N
-    if tables.K + tables.M < N + 1:
+def _require_overdetermined(tables: _FactorTables) -> None:
+    if tables.K + tables.M < tables.N + 1:
         raise ValueError("system must be overdetermined: K + M >= N + 1")
+
+
+def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
+    _require_overdetermined(tables)
+    N = tables.N
     n_cols = 4 * (N + 1)
     X = np.empty((grid.n_points, n_cols))
     residuals = np.empty(grid.n_points)
@@ -205,13 +233,7 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     for j, x in enumerate(grid.nodes):
         A, B = tables.assemble(float(x))
         rhs_norms[j] = np.linalg.norm(B)
-        try:
-            # reflectionless data leaves some coefficient columns supported
-            # only by the handful of eigenvalue rows; drop those pivots
-            # instead of failing the whole sweep
-            sol, res, cond = least_squares_solve(A, B, on_deficient="truncate")
-        except RankDeficient as exc:
-            raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
+        sol, res, cond = _solve_node(A, B, x)
         X[j] = sol
         residuals[j] = res
         conditions[j] = cond
@@ -221,27 +243,95 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     )
 
 
+def _solve_node(A: np.ndarray, B: np.ndarray, x: float):
+    try:
+        # reflectionless data leaves some coefficient columns supported
+        # only by the handful of eigenvalue rows; drop those pivots
+        # instead of failing the whole sweep
+        return least_squares_solve(A, B, on_deficient="truncate")
+    except RankDeficient as exc:
+        raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
+
+
+def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: int):
+    """Order-zero coefficients of every candidate N at every selection node.
+
+    ``candidates`` must be sorted and distinct.  Returns ``order_zero``, of
+    shape (len(candidates), n_nodes, 4) and holding Re b0, Im b0, Re a0,
+    Im a0, and the boolean (len(candidates), n_nodes) array of
+    node-candidate solves that went to the per-candidate path.
+
+    One table build serves all candidates: with the columns taken in
+    degree order (Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N), the system
+    of candidate N is the leading 4(N + 1) columns of the largest
+    candidate's, bit for bit, since the power columns come from a
+    sequential recurrence and the products are elementwise.  So one stage-one
+    QR per node (``qr_stage_one``) serves every candidate, and stage two runs
+    on each candidate's leading triangle.  Where stage two fails its guard,
+    that candidate and the larger ones at the node are solved by
+    ``least_squares_solve`` on their own columns in the sweep's block order,
+    which is exactly the solve of a per-candidate sweep.
+    """
+    top = _FactorTables(sd, candidates[-1], K)
+    _require_overdetermined(top)
+    n1_top = top.N + 1
+    # column of (block k, degree n) in the sweep's order is k (N + 1) + n
+    block_cols = np.arange(4)[:, None] * n1_top + np.arange(n1_top)
+    degree_order = block_cols.T.ravel()
+    order_zero = np.empty((len(candidates), grid.n_points, 4))
+    fell_back = np.zeros((len(candidates), grid.n_points), dtype=bool)
+    for j, x in enumerate(grid.nodes):
+        A, B = top.assemble(float(x))
+        factor, col_scale = qr_stage_one(A[:, degree_order], B)
+        nested = True
+        for i, N in enumerate(candidates):
+            if nested:
+                solved = qr_stage_two(factor, 4 * (N + 1))
+                nested = solved is not None
+            if nested:
+                order_zero[i, j] = solved[0][:4] / col_scale[:4]
+            else:
+                fell_back[i, j] = True
+                # np.take keeps the sweep's row-major layout, on which the
+                # solve's column norms, and so its bits, depend
+                own = np.take(A, block_cols[:, : N + 1].ravel(), axis=1)
+                sol, _, _ = _solve_node(own, B, x)
+                order_zero[i, j] = sol[:: N + 1]
+    return order_zero, fell_back
+
+
 def select_truncation_inverse(
     sd: ScatteringData, cfg: InverseConfig
-) -> tuple[int, dict[int, float]]:
+) -> tuple[int, dict[int, float], int]:
     """Pick N by minimizing the Wronskian flatness defect eps(N).
 
-    eps(N) is the max over x of |d/dx| of the x-independent bilinear form of
-    the two order-zero coefficient pairs; ties break toward smaller N.
+    eps(N) is the max over the selection grid of |d/dx| of the
+    x-independent bilinear form of the two order-zero coefficient pairs of
+    the truncation-N solve.  The candidates are walked in increasing order,
+    repeats counted once, and ties break toward the smaller N.  All
+    candidates share one stage-one QR per node (see
+    ``_selection_order_zero``); only the order-zero entries are kept.
+
+    Returns (N, eps_table, fallbacks), ``eps_table`` keyed by candidate in
+    increasing order and ``fallbacks`` the number of node-candidate solves
+    whose pivot ratio failed the two-stage guard of
+    :func:`~zsscatter.numerics.least_squares_solve` and were solved on
+    their own.
     """
     grid = cfg.selection_grid()
+    candidates = sorted({int(n) for n in cfg.candidates})
+    order_zero, fell_back = _selection_order_zero(sd, candidates, grid, cfg.selection_K)
     eps_table: dict[int, float] = {}
     best_n = None
     best_eps = np.inf
-    for N in cfg.candidates:
-        coeffs = _solve_sweep(_FactorTables(sd, N, cfg.selection_K), grid)
-        wron = coeffs.wronskian_curve()
+    for N, entries in zip(candidates, order_zero):
+        wron = _wronskian_curve(*entries.T)
         eps = float(np.max(np.abs(differentiate(grid, wron))))
         eps_table[N] = eps
         if eps < best_eps:
             best_eps = eps
             best_n = N
-    return int(best_n), eps_table
+    return int(best_n), eps_table, int(np.count_nonzero(fell_back))
 
 
 def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
@@ -280,11 +370,12 @@ def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
 def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     """Full inverse pipeline; returns (potential, coefficients, info)."""
     info: dict = {}
-    if isinstance(cfg.N, int):
-        N = cfg.N
-    else:
-        N, eps_table = select_truncation_inverse(sd, cfg)
+    if cfg.N == "auto":
+        N, eps_table, fallbacks = select_truncation_inverse(sd, cfg)
         info["eps_table"] = eps_table
+        info["selection_fallbacks"] = fallbacks
+    else:
+        N = int(cfg.N)
     info["chosen_N"] = N
     tables = _FactorTables(sd, N, cfg.K)
     # subsampling in theta can land several targets on one rho node, so

@@ -24,6 +24,8 @@ __all__ = [
     "horner",
     "polynomial_roots",
     "least_squares_solve",
+    "qr_stage_one",
+    "qr_stage_two",
     "differentiate",
     "midpoint_values",
 ]
@@ -232,7 +234,11 @@ def polynomial_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial with ascending-degree coefficients.
 
     Roots come from the eigenvalues of the balanced companion matrix (QR
-    iteration) and each is polished by two Newton steps on the polynomial.
+    iteration) and each is polished by up to two Newton steps on the
+    polynomial.  A step is taken only if it is finite and shorter than 1
+    and |p| at the new point is finite and no larger than at the old one:
+    at a multiple root p' is rounding noise, and an unchecked step would
+    throw the root away from it.
     Real coefficients give a real companion matrix: its real QR iteration
     takes a third to a half of the time of the complex one at degree
     450-500 and returns the non-real roots in exact conjugate pairs.
@@ -252,14 +258,21 @@ def polynomial_roots(coeffs) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
         raise NoConvergence("companion-matrix QR did not converge") from exc
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p, dp = horner(c, roots)
         for _ in range(2):
             # Horner overflows for high degrees well outside the unit
             # circle; those roots are left as the QR iteration found them.
             # A non-finite p or p', or p' = 0, gives a non-finite or zero
-            # step, so only finite steps with |step| < 1 move a root.
-            p, dp = horner(c, roots)
+            # step, so only finite steps with |step| < 1 move a root, and
+            # only to a point where |p| does not grow.
             step = p / dp
-            roots = np.where(np.isfinite(step) & (np.abs(step) < 1.0), roots - step, roots)
+            trial = roots - step
+            p_trial, dp_trial = horner(c, trial)
+            take = (np.isfinite(step) & (np.abs(step) < 1.0)
+                    & np.isfinite(p_trial) & (np.abs(p_trial) <= np.abs(p)))
+            roots = np.where(take, trial, roots)
+            p = np.where(take, p_trial, p)
+            dp = np.where(take, dp_trial, dp)
     return roots
 
 
@@ -279,10 +292,11 @@ def least_squares_solve(
 ) -> tuple[np.ndarray, float, float]:
     """Minimize ||Ax - b||_2 by a QR of [A | b], then pivoted QR of its triangle.
 
-    The columns of A are scaled to unit norm first.  Stage one is an
-    unpivoted blocked Householder QR of the m x (n+1) matrix [A | b]; its
-    n x n triangle R0 and last column Q^T b stand in for A and b, and Q is
-    never formed.  Stage two is a column-pivoted QR of R0, which has the
+    The columns of A are scaled to unit norm first.  Stage one
+    (:func:`qr_stage_one`) is an unpivoted blocked Householder QR of the
+    m x (n+1) matrix [A | b]; its n x n triangle R0 and last column Q^T b
+    stand in for A and b, and Q is never formed.  Stage two
+    (:func:`qr_stage_two`) is a column-pivoted QR of R0, which has the
     column norms of A, so its pivots, rank test and condition estimate are
     those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS 8,
     1982).  The two-stage result is kept only when the smallest pivot
@@ -299,19 +313,12 @@ def least_squares_solve(
     solution entries set to zero (a basic solution, matching what pivoted
     backslash-style solvers do).  NaN or inf in A or b raises ValueError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
-        raise ValueError("A must be m x n with m >= n >= 1")
     if on_deficient not in ("raise", "truncate"):
         raise ValueError("on_deficient must be 'raise' or 'truncate'")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("A and b must be finite")
-    # equilibrate columns so the rank test is invariant to column scaling;
-    # this rescales the unknowns, which leaves the minimizer unchanged
-    col_scale = np.linalg.norm(A, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    solved = _two_stage_solve(A, col_scale, b, rank_tol)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    factor, col_scale = qr_stage_one(A, b)
+    solved = qr_stage_two(factor, A.shape[1], rank_tol)
     if solved is None:
         solved = _pivoted_qr_solve(A / col_scale, b, rank_tol, on_deficient)
     x, cond = solved
@@ -320,21 +327,52 @@ def least_squares_solve(
     return x, residual, cond
 
 
-def _two_stage_solve(A, col_scale, b, rank_tol):
-    """(x, cond) of the equilibrated system, or None near the rank edge."""
+def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
+
+    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
+    1 for a zero column), and ``factor`` is the blocked Householder QR of the
+    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
+    triangle and Q^T b in its last column.  Householder reflector k touches
+    rows k..m-1 only, and a column's scale does not depend on the others,
+    so for every n' <= n the leading n' x n' triangle and the first n'
+    entries of the last column are the stage-one factors of the system of
+    A's leading n' columns.  NaN or inf in A or b raises ValueError.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
+        raise ValueError("A must be m x n with m >= n >= 1")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
+    # equilibrate columns so the rank test is invariant to column scaling;
+    # this rescales the unknowns, which leaves the minimizer unchanged
+    col_scale = np.linalg.norm(A, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
     m, n = A.shape
     aug = np.empty((m, n + 1), order="F")
     np.divide(A, col_scale, out=aug[:, :n])
     aug[:, n] = b
-    qr, _, info = scipy.linalg.lapack.dgeqrt(min(_QR_BLOCK, n), aug, overwrite_a=True)
+    factor, _, info = scipy.linalg.lapack.dgeqrt(min(_QR_BLOCK, n), aug, overwrite_a=True)
     if info != 0:
         raise ValueError(f"geqrt failed with info = {info}")
-    Q, R, perm = scipy.linalg.qr(np.triu(qr[:n, :n]), pivoting=True)
+    return factor, col_scale
+
+
+def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
+    """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
+
+    Returns (x, cond) of the equilibrated system (divide x by the leading
+    n entries of ``col_scale`` for the solution of A x = b), or None when
+    the smallest pivot of the triangle does not exceed ``1e3 * rank_tol``
+    times the largest, where the caller must solve by other means.
+    """
+    Q, R, perm = scipy.linalg.qr(np.triu(factor[:n, :n]), pivoting=True)
     diag = np.abs(np.diagonal(R))
     if not diag.min() > _TWO_STAGE_MARGIN * rank_tol * diag.max():
         return None
     x = np.empty(n)
-    x[perm] = scipy.linalg.solve_triangular(R, Q.T @ qr[:n, n])
+    x[perm] = scipy.linalg.solve_triangular(R, Q.T @ factor[:n, -1])
     return x, float(diag.max() / diag.min())
 
 

@@ -136,6 +136,7 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
                 "--inverse-n", "5", "--output-dir", str(inv_dir)]) == 0
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
     assert 0 < summary["collocation_count"] < 150
+    assert summary["selection_fallbacks"] == 0
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):

@@ -171,27 +171,99 @@ class TestTrivialPipeline:
 
     def test_selection_ties_to_smallest(self):
         sd = _trivial_data()
-        cfg = zs.InverseConfig(x_half_width=4.0, K=200,
-                               candidates=(5, 10, 15),
-                               selection_x_points=21, selection_K=150)
-        N, eps = zs.select_truncation_inverse(sd, cfg)
-        assert N == 5
-        assert max(eps.values()) < 1e-12
+        for candidates in [(5, 10, 15), (15, 10, 5)]:
+            cfg = zs.InverseConfig(x_half_width=4.0, K=200,
+                                   candidates=candidates,
+                                   selection_x_points=21, selection_K=150)
+            N, eps, _ = zs.select_truncation_inverse(sd, cfg)
+            assert N == 5
+            assert list(eps) == [5, 10, 15]
+            assert max(eps.values()) < 1e-12
 
 
 class TestSelection:
     def test_example1_chosen_n(self, ex1_direct):
         _, sd = ex1_direct
-        N, eps = zs.select_truncation_inverse(sd, zs.InverseConfig())
+        N, eps, _ = zs.select_truncation_inverse(sd, zs.InverseConfig())
         assert 15 <= N <= 35
         assert eps[N] <= min(eps.values()) + 1e-30
 
     def test_example2_chosen_n(self, ex2_direct):
         _, sd = ex2_direct
-        N, eps = zs.select_truncation_inverse(
+        N, eps, _ = zs.select_truncation_inverse(
             sd, zs.InverseConfig(x_half_width=7.0))
         assert 50 <= N <= 80
         assert eps[N] <= min(eps.values()) + 1e-30
+
+
+def _reference_select(sd, cfg):
+    """The per-candidate selection the nested QR replaced, kept as a reference.
+
+    Returns (N, eps_table, order-zero entries of shape (candidates, nodes, 4)).
+    """
+    grid = cfg.selection_grid()
+    eps_table, zero = {}, []
+    for N in cfg.candidates:
+        coeffs = inverse._solve_sweep(inverse._FactorTables(sd, N, cfg.selection_K), grid)
+        eps_table[N] = float(np.max(np.abs(zs.differentiate(grid, coeffs.wronskian_curve()))))
+        zero.append(np.stack([coeffs.re_b0, coeffs.im_b0, coeffs.re_a0, coeffs.im_a0], axis=1))
+    return min(eps_table, key=eps_table.get), eps_table, np.array(zero)
+
+
+def _degree_order(N):
+    """Sweep columns k (N + 1) + n listed as Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N."""
+    return np.arange(4 * (N + 1)).reshape(4, N + 1).T.ravel()
+
+
+# ex1 on [-8, 8]: from N = 75 on every selection node is past the two-stage
+# guard, so this config takes both the nested and the per-candidate path
+_MIXED = dict(candidates=(10, 25, 50, 75, 90), selection_x_points=11)
+# the benchmark's well-conditioned selection: candidates up to 50 on [-1/8, 1/8]
+_NESTED = dict(candidates=tuple(range(5, 51, 5)), selection_x_points=21,
+               x_half_width=0.125, x_points=11)
+
+
+class TestNestedSelection:
+    def test_matches_per_candidate_selection(self, ex1_direct):
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(**_MIXED)
+        N_ref, eps_ref, zero_ref = _reference_select(sd, cfg)
+        zero, fell_back = inverse._selection_order_zero(
+            sd, list(cfg.candidates), cfg.selection_grid(), cfg.selection_K)
+        assert fell_back.any() and not fell_back.all()
+        # per node, the candidates past the first failure fall back too
+        assert np.all(np.diff(fell_back.astype(int), axis=0) >= 0)
+        assert np.array_equal(zero[fell_back], zero_ref[fell_back])
+        N, eps, fallbacks = zs.select_truncation_inverse(sd, cfg)
+        assert N == N_ref
+        assert fallbacks == np.count_nonzero(fell_back)
+        for n in cfg.candidates:
+            assert abs(eps[n] - eps_ref[n]) <= 1e-9 + 1e-6 * eps_ref[n]
+
+    def test_candidate_columns_are_the_leading_block(self, sech_data):
+        sd = sech_data
+        top = inverse._FactorTables(sd, 30, 400)
+        for x in (-2.0, 0.0, 1.3):
+            A_top, B_top = top.assemble(x)
+            A_top, B_top = A_top.copy(), B_top.copy()
+            for N in (0, 7, 29, 30):
+                A, B = inverse._FactorTables(sd, N, 400).assemble(x)
+                # the candidate's columns in the sweep's block order ...
+                cols = np.arange(4)[:, None] * (top.N + 1) + np.arange(N + 1)
+                assert np.array_equal(A_top[:, cols.ravel()], A)
+                # ... and in degree order, the leading 4(N + 1) columns
+                assert np.array_equal(A_top[:, _degree_order(top.N)[: 4 * (N + 1)]],
+                                      A[:, _degree_order(N)])
+                assert np.array_equal(B_top, B)
+
+    def test_fallbacks_reported(self, ex1_direct):
+        _, sd = ex1_direct
+        _, _, info = zs.solve_inverse(sd, zs.InverseConfig(**_NESTED))
+        assert info["selection_fallbacks"] == 0
+        _, _, info = zs.solve_inverse(sd, zs.InverseConfig(**_MIXED, N="auto", x_points=11))
+        assert info["selection_fallbacks"] > 0
+        _, _, info = zs.solve_inverse(sd, zs.InverseConfig(N=25, x_points=11, x_half_width=0.1))
+        assert "selection_fallbacks" not in info and "eps_table" not in info
 
 
 class TestSweepKernel:
@@ -267,10 +339,31 @@ class TestRecovery:
         with pytest.raises(DenominatorNearZero):
             zs.recover_potential(coeffs)
 
-    @pytest.mark.parametrize("candidates", [(), (0,), (5, -10), (5, 2.5), ("10",)])
+    @pytest.mark.parametrize("candidates", [(), (0,), (5, -10), (5, 2.5), ("10",), (5, True)])
     def test_invalid_candidates_rejected(self, candidates):
         with pytest.raises(ValueError, match="candidates"):
             zs.InverseConfig(candidates=candidates)
+
+    @pytest.mark.parametrize("field,value", [
+        ("N", 0), ("N", -3), ("N", 2.0), ("N", True), ("N", "Auto"), ("N", None),
+        ("K", 0), ("K", -5), ("K", 2.5), ("K", False),
+        ("selection_K", 0), ("selection_K", -5), ("selection_K", 2.5),
+    ])
+    def test_invalid_orders_and_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            zs.InverseConfig(**{field: value})
+
+    def test_numpy_integer_n_is_used_as_given(self, ex1_direct, monkeypatch):
+        def no_selection(*args):
+            raise AssertionError("a fixed N must not run the selection")
+
+        monkeypatch.setattr(inverse, "select_truncation_inverse", no_selection)
+        _, sd = ex1_direct
+        _, coeffs, info = zs.solve_inverse(
+            sd, zs.InverseConfig(N=np.int64(5), x_points=11, x_half_width=0.1))
+        assert info["chosen_N"] == 5 and type(info["chosen_N"]) is int
+        assert coeffs.N == 5 and coeffs.X.shape == (11, 24)
+        assert zs.InverseConfig(K=np.int32(300), selection_K=np.int64(200)).K == 300
 
     @pytest.mark.parametrize("field", ["x_points", "selection_x_points"])
     def test_tiny_grids_rejected(self, field):
