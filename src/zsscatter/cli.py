@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from ._output import write_csv
+from .coeffs import DEFAULT_N_MAX
 from .direct import (
     scattering_from_json,
     scattering_to_json,
@@ -97,19 +98,27 @@ def _parse_potential(args, parser) -> PotentialSpec:
 
 
 def _parse_n(text, parser):
+    """None for "auto", else the truncation order, an integer 0..DEFAULT_N_MAX."""
     if text == "auto":
         return None
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         parser.error(f"invalid truncation order: {text!r}")
+    if not 0 <= n <= DEFAULT_N_MAX:
+        parser.error(f"--n-terms must be \"auto\" or an integer from 0 to {DEFAULT_N_MAX}")
+    return n
 
 
-def _check_grid(args, parser):
-    if args.grid_points < 3 or args.grid_points % 2 == 0:
-        parser.error("--grid-points must be odd and >= 3")
+def _check_direct_args(args, parser):
+    # UniformGrid needs five nodes: x = 0 and the widest difference stencil
+    if not args.half_width > 0:
+        parser.error("--half-width must be positive")
+    if args.grid_points < 5 or args.grid_points % 2 == 0:
+        parser.error("--grid-points must be odd and >= 5")
     if args.rho_count < 2:
         parser.error("--rho-count must be >= 2")
+    args.n_terms = _parse_n(args.n_terms, parser)
 
 
 def _direct_stage(args, parser):
@@ -118,12 +127,11 @@ def _direct_stage(args, parser):
     p = evaluate(spec, grid)
     for message in decay_check(p):
         print(f"warning: {message}", file=sys.stderr)
-    n_terms = _parse_n(args.n_terms, parser)
     sd = solve_direct(
         p,
         rho_max=args.rho_max,
         rho_count=args.rho_count,
-        n_terms=n_terms,
+        n_terms=args.n_terms,
     )
     if sd.meta.get("truncation", {}).get("at_cap"):
         print(
@@ -134,14 +142,17 @@ def _direct_stage(args, parser):
     return sd
 
 
-def _inverse_config(args) -> InverseConfig:
+def _inverse_config(args, parser) -> InverseConfig:
     n = args.inverse_n if isinstance(args.inverse_n, str) else str(args.inverse_n)
-    return InverseConfig(
-        x_half_width=args.x_half_width,
-        x_points=args.x_points,
-        K=args.collocation,
-        N="auto" if n == "auto" else int(n),
-    )
+    try:
+        return InverseConfig(
+            x_half_width=args.x_half_width,
+            x_points=args.x_points,
+            K=args.collocation,
+            N="auto" if n == "auto" else int(n),
+        )
+    except ValueError as exc:
+        parser.error(f"invalid inverse option: {exc}")
 
 
 def _write_inverse_outputs(out_dir, rec, coeffs, info):
@@ -185,7 +196,7 @@ def _run_direct(args, parser) -> int:
 def _run_inverse(args, parser) -> int:
     with open(args.scattering, encoding="utf-8") as fh:
         sd = scattering_from_json(fh.read())
-    rec, coeffs, info = solve_inverse(sd, _inverse_config(args))
+    rec, coeffs, info = solve_inverse(sd, args.inverse_config)
     os.makedirs(args.output_dir, exist_ok=True)
     _write_inverse_outputs(args.output_dir, rec, coeffs, info)
     print(f"chosen N: {info['chosen_N']}")
@@ -196,7 +207,7 @@ def _run_inverse(args, parser) -> int:
 
 def _run_roundtrip(args, parser) -> int:
     sd = _direct_stage(args, parser)
-    rec, coeffs, info = solve_inverse(sd, _inverse_config(args))
+    rec, coeffs, info = solve_inverse(sd, args.inverse_config)
     os.makedirs(args.output_dir, exist_ok=True)
     _write_inverse_outputs(args.output_dir, rec, coeffs, info)
     g = rec.x_grid
@@ -234,8 +245,11 @@ def _run_presets(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every option is checked before any work is done
     if args.command in ("direct", "roundtrip"):
-        _check_grid(args, parser)
+        _check_direct_args(args, parser)
+    if args.command in ("inverse", "roundtrip"):
+        args.inverse_config = _inverse_config(args, parser)
     handlers = {
         "direct": _run_direct,
         "inverse": _run_inverse,

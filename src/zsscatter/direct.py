@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,15 +80,17 @@ class ScatteringData:
 def scattering_coefficients(series: CoefficientSeries, N: int, rho_grid: np.ndarray):
     """a(rho) and b(rho) on a real rho grid.
 
-    Conjugate factors are evaluated directly at conj(z) rather than through
-    the circle identity conj(z) = 1/z.
+    The factors at conj(z) are the conjugates of those at z, not values
+    through the circle identity conj(z) = 1/z: the polynomial coefficients
+    are real, so Horner's rule at conj(z) is the exact conjugate of Horner's
+    rule at z, and one evaluation serves both.
     """
     rho = np.asarray(rho_grid, dtype=float)
     z = z_of_rho(rho.astype(complex))
     zb = np.conj(z)
-    factors = JostFactors.from_series(series, N)
-    Pb, Sb, Pa, Sa = factors.evaluate(z)
-    _, _, Pa_c, Sa_c = factors.evaluate(zb)
+    Pb, Sb, Pa, Sa = JostFactors.from_series(series, N).evaluate(z)
+    Pa_c = np.conj(Pa)
+    Sa_c = np.conj(Sa)
     a_vals = Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
     b_vals = Pa_c * (z + 1.0) * Sb - (zb + 1.0) * Sa_c * Pb
     return a_vals, b_vals
@@ -243,6 +246,11 @@ def transmission(sd: ScatteringData) -> np.ndarray:
     return 1.0 / sd.a_values
 
 
+def _is_order(n) -> bool:
+    """An integer >= 0 of any integral type but bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
+
+
 def solve_direct(
     p: SampledPotential,
     rho_max: float = 30.0,
@@ -257,7 +265,18 @@ def solve_direct(
     they are returned in ``ScatteringData.series``.  The full x-table of a
     diagnostic is built apart with ``compute_coefficients`` on a whole-grid
     basis.
+
+    ``N_max`` must be an integer >= 0 and ``n_terms`` None (pick N from the
+    sum rules) or an integer 0 <= n_terms <= N_max, each of any
+    ``numbers.Integral`` type but ``bool``; other values raise ValueError
+    before any work is done.
     """
+    if not _is_order(N_max):
+        raise ValueError(f"N_max must be an integer >= 0, got {N_max!r}")
+    if n_terms is not None and not (_is_order(n_terms) and n_terms <= N_max):
+        raise ValueError(
+            f"n_terms must be None or an integer from 0 to N_max = {N_max}, got {n_terms!r}"
+        )
     basis = compute_basis(p, reach=N_max)
     series = center_series(basis, p, N_max)
     if n_terms is None:
@@ -266,8 +285,6 @@ def solve_direct(
     else:
         report = None
         N = int(n_terms)
-        if N > N_max:
-            raise ValueError("n_terms exceeds N_max")
     rho_grid = np.linspace(-rho_max, rho_max, rho_count)
     a_vals, b_vals = scattering_coefficients(series, N, rho_grid)
     poly = a_polynomial(series, N)

@@ -292,8 +292,8 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
                 order_zero[i, j] = solved[0][:4] / col_scale[:4]
             else:
                 fell_back[i, j] = True
-                # np.take keeps the sweep's row-major layout, on which the
-                # solve's column norms, and so its bits, depend
+                # np.take gathers into the row-major layout that the solve
+                # would otherwise copy the columns into
                 own = np.take(A, block_cols[:, : N + 1].ravel(), axis=1)
                 sol, _, _ = _solve_node(own, B, x)
                 order_zero[i, j] = sol[:: N + 1]

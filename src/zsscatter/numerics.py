@@ -170,6 +170,10 @@ def integrate_linear_ode2(
     Returns (w, w') with the nodes the sweep did not reach left at NaN;
     callers doing two-sided sweeps merge them.  The overflow guard and the
     finiteness check cover the swept nodes only.
+
+    The loop is scalar Python: it reads Q and its midpoint values from
+    lists of Python complex numbers cut to the swept range and collects the
+    states in lists, which are written into the arrays once at the end.
     """
     Q = grid.require_same(Q)
     if direction not in (-1, 1):
@@ -183,38 +187,51 @@ def integrate_linear_ode2(
         raise ValueError("stop_index lies behind start_index in the sweep direction")
     h = grid.step * direction
     Qh = midpoint_values(grid, Q)
-    w = np.full(n, np.nan, dtype=complex)
-    wp = np.full(n, np.nan, dtype=complex)
+    # Q at the swept nodes and at the midpoints between them, in sweep order,
+    # as Python complex numbers: indexing lists in the loop boxes nothing
+    lo, hi = min(start_index, stop_index), max(start_index, stop_index)
+    Qs = Q[lo : hi + 1].astype(complex).tolist()
+    Qm = Qh[lo:hi].astype(complex).tolist()
+    if direction == -1:
+        Qs.reverse()
+        Qm.reverse()
+    # Python evaluates 0.5 * h * k as (0.5 * h) * k, so these are the same bits
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     u = complex(start_value)
     v = complex(start_slope)
-    w[start_index] = u
-    wp[start_index] = v
-    for j in range(start_index, stop_index, direction):
-        q0 = complex(Q[j])
-        qm = complex(Qh[j]) if direction == 1 else complex(Qh[j - 1])
-        q1 = complex(Q[j + direction])
+    us = [u]
+    vs = [v]
+    for q0, qm, q1 in zip(Qs, Qm, Qs[1:]):
         # k = (w', Q w - drift w')
         k1u = v
         k1v = q0 * u - drift * v
-        u2 = u + 0.5 * h * k1u
-        v2 = v + 0.5 * h * k1v
+        u2 = u + half_h * k1u
+        v2 = v + half_h * k1v
         k2u = v2
         k2v = qm * u2 - drift * v2
-        u3 = u + 0.5 * h * k2u
-        v3 = v + 0.5 * h * k2v
+        u3 = u + half_h * k2u
+        v3 = v + half_h * k2v
         k3u = v3
         k3v = qm * u3 - drift * v3
         u4 = u + h * k3u
         v4 = v + h * k3v
         k4u = v4
         k4v = q1 * u4 - drift * v4
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u = u + sixth_h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + sixth_h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (abs(u) < _OVERFLOW_GUARD and abs(v) < _OVERFLOW_GUARD):
             raise NonFiniteValue("ODE sweep overflowed or produced NaN")
-        w[j + direction] = u
-        wp[j + direction] = v
-    swept = slice(min(start_index, stop_index), max(start_index, stop_index) + 1)
+        us.append(u)
+        vs.append(v)
+    if direction == -1:
+        us.reverse()
+        vs.reverse()
+    swept = slice(lo, hi + 1)
+    w = np.full(n, np.nan, dtype=complex)
+    wp = np.full(n, np.nan, dtype=complex)
+    w[swept] = us
+    wp[swept] = vs
     if not (np.all(np.isfinite(w[swept])) and np.all(np.isfinite(wp[swept]))):
         raise NonFiniteValue("ODE sweep produced non-finite samples")
     return w, wp
@@ -299,10 +316,12 @@ def least_squares_solve(
     (:func:`qr_stage_two`) is a column-pivoted QR of R0, which has the
     column norms of A, so its pivots, rank test and condition estimate are
     those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS 8,
-    1982).  The two-stage result is kept only when the smallest pivot
-    exceeds ``1e3 * rank_tol`` times the largest (condition below 1e9 at
-    the default); otherwise the system is solved, bit for bit as before, by
-    one column-pivoted QR of A.
+    1982); its reflectors are applied to Q^T b in factored form, so neither
+    stage forms its Q.  The two-stage result is kept only when the smallest
+    pivot exceeds ``1e3 * rank_tol`` times the largest (condition below 1e9
+    at the default); otherwise the system is solved, bit for bit as before,
+    by one column-pivoted QR of A.  A is taken in row-major order whatever
+    its layout, so a column-major or gathered A gives the same bits.
 
     Returns (x, residual_norm, condition_estimate), the condition estimate
     being the ratio of extreme diagonal magnitudes of the pivoted triangular
@@ -315,7 +334,9 @@ def least_squares_solve(
     """
     if on_deficient not in ("raise", "truncate"):
         raise ValueError("on_deficient must be 'raise' or 'truncate'")
-    A = np.asarray(A, dtype=float)
+    # the column norms, and past the guard the rank decision, depend on the
+    # summation order, so every layout of A is solved as its row-major copy
+    A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     factor, col_scale = qr_stage_one(A, b)
     solved = qr_stage_two(factor, A.shape[1], rank_tol)
@@ -347,7 +368,8 @@ def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("A and b must be finite")
     # equilibrate columns so the rank test is invariant to column scaling;
     # this rescales the unknowns, which leaves the minimizer unchanged
-    col_scale = np.linalg.norm(A, axis=0)
+    # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
+    col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
     col_scale[col_scale == 0.0] = 1.0
     m, n = A.shape
     aug = np.empty((m, n + 1), order="F")
@@ -362,17 +384,32 @@ def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
     """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
 
+    A column-pivoted QR (LAPACK geqp3) of the leading n x n triangle R0
+    leaves its Householder reflectors in factored form; LAPACK ormqr applies
+    their transpose to the first n entries of the factor's last column, and
+    R is solved by back substitution.  Q is never formed.
+
     Returns (x, cond) of the equilibrated system (divide x by the leading
     n entries of ``col_scale`` for the solution of A x = b), or None when
     the smallest pivot of the triangle does not exceed ``1e3 * rank_tol``
     times the largest, where the caller must solve by other means.
     """
-    Q, R, perm = scipy.linalg.qr(np.triu(factor[:n, :n]), pivoting=True)
-    diag = np.abs(np.diagonal(R))
+    # the transpose of a lower triangle is a column-major upper one, which
+    # geqp3 overwrites in place instead of copying
+    triangle = np.tril(factor[:n, :n].T).T
+    (h, tau), _, perm = scipy.linalg.qr(
+        triangle, pivoting=True, mode="raw", overwrite_a=True, check_finite=False
+    )
+    diag = np.abs(np.diagonal(h))
     if not diag.min() > _TWO_STAGE_MARGIN * rank_tol * diag.max():
         return None
+    # lwork = 1 selects the unblocked reflector loop, the cheap one for one column
+    qtc, _, info = scipy.linalg.lapack.dormqr("L", "T", h, tau, factor[:n, -1:], 1)
+    if info != 0:
+        raise ValueError(f"ormqr failed with info = {info}")
     x = np.empty(n)
-    x[perm] = scipy.linalg.solve_triangular(R, Q.T @ factor[:n, -1])
+    # back substitution reads only the upper triangle, R; below it lie the reflectors
+    x[perm] = scipy.linalg.solve_triangular(h, qtc[:, 0])
     return x, float(diag.max() / diag.min())
 
 

@@ -41,6 +41,31 @@ def test_even_grid_points_exit_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--grid-points", "3"), ("--grid-points", "1"), ("--half-width", "0"),
+    ("--n-terms", "-2"), ("--n-terms", "251"), ("--n-terms", "2.5"),
+])
+def test_bad_direct_options_exit_1(option, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["direct", "--potential", "preset:zero", "--grid-points", "101", option, value,
+             "--output-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--inverse-n", "0"), ("--inverse-n", "abc"), ("--x-points", "3"), ("--collocation", "0"),
+])
+def test_bad_inverse_options_exit_1(option, value, tmp_path, capsys):
+    for command in (["inverse", "--scattering", str(tmp_path / "absent.json")],
+                    ["roundtrip", "--potential", "preset:zero", "--grid-points", "101"]):
+        with pytest.raises(SystemExit) as exc:
+            run(command + [option, value, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "error: invalid inverse option" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = run(["direct", "--potential", "file:/does/not/exist.csv",
                 "--output-dir", str(tmp_path)])

@@ -191,6 +191,29 @@ def test_direct_solve_keeps_no_coefficient_table():
     assert peak < one_table / 4
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n_terms=-3), dict(n_terms=2.7), dict(n_terms=True), dict(n_terms=np.float64(5.0)),
+    dict(n_terms=DEFAULT_N_MAX + 1), dict(n_terms="5"), dict(N_max=-1), dict(N_max=2.0),
+    dict(N_max=False), dict(N_max=10, n_terms=11),
+])
+def test_invalid_orders_rejected_before_any_sweep(kwargs, monkeypatch):
+    def no_sweep(*args, **kw):
+        raise AssertionError("the basis was computed before the arguments were checked")
+
+    monkeypatch.setattr(zs.direct, "compute_basis", no_sweep)
+    p = zs.evaluate(zs.PotentialSpec(preset="zero", params={}), zs.UniformGrid(4.0, 101))
+    with pytest.raises(ValueError, match="n_terms|N_max"):
+        zs.solve_direct(p, rho_count=50, **kwargs)
+
+
+@pytest.mark.parametrize("n_terms", [0, np.int64(7), DEFAULT_N_MAX])
+def test_integer_orders_accepted(n_terms):
+    p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": 1.0}),
+                    zs.UniformGrid(8.0, 801))
+    sd = zs.solve_direct(p, rho_count=50, n_terms=n_terms)
+    assert sd.meta["n_terms"] == n_terms
+
+
 def test_json_field_order(ex4_direct):
     _, sd = ex4_direct
     payload = json.loads(zs.scattering_to_json(sd))

@@ -9,7 +9,7 @@ from zsscatter.direct import Eigenvalue, ScatteringData
 from zsscatter.errors import DenominatorNearZero, MissingSpectrumData
 from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients
-from test_numerics import _reference_lsq
+from test_numerics import _reference_lsq, _reference_stage_two
 
 
 def _trivial_data(n_rho=400):
@@ -240,6 +240,22 @@ class TestNestedSelection:
         for n in cfg.candidates:
             assert abs(eps[n] - eps_ref[n]) <= 1e-9 + 1e-6 * eps_ref[n]
 
+    def test_fallbacks_as_with_explicit_q_stage_two(self, ex1_direct, monkeypatch):
+        # the factored stage two takes the guard decisions of the explicit-Q one
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(**_MIXED)
+        args = (sd, list(cfg.candidates), cfg.selection_grid(), cfg.selection_K)
+        _, fell_back = inverse._selection_order_zero(*args)
+
+        def explicit_q(factor, n, rank_tol=1e-12):
+            ref = _reference_stage_two(factor, n, rank_tol)
+            return None if ref is None else ref[:2]
+
+        monkeypatch.setattr(inverse, "qr_stage_two", explicit_q)
+        _, fell_back_ref = inverse._selection_order_zero(*args)
+        assert fell_back_ref.any() and not fell_back_ref.all()
+        assert np.array_equal(fell_back, fell_back_ref)
+
     def test_candidate_columns_are_the_leading_block(self, sech_data):
         sd = sech_data
         top = inverse._FactorTables(sd, 30, 400)
@@ -276,6 +292,24 @@ class TestSweepKernel:
         ref = inverse._solve_sweep(tables, grid)
         assert np.max(np.abs(fast.X - ref.X)) <= 1e-12
         assert fast.conditions.max() == pytest.approx(ref.conditions.max(), rel=5e-4)
+
+
+    def test_solve_does_not_depend_on_the_layout_of_a(self, ex1_direct):
+        # past the two-stage guard, a column-major A or a gather of the
+        # columns from a larger table gives the bits of the row-major system
+        _, sd = ex1_direct
+        x = 4.8
+        A_top, B = inverse._FactorTables(sd, 90, 400).assemble(x)
+        A_top, B = A_top.copy(), B.copy()
+        for N in (80, 90):
+            A, _ = inverse._FactorTables(sd, N, 400).assemble(x)
+            cols = (np.arange(4)[:, None] * 91 + np.arange(N + 1)).ravel()
+            x_ref, res_ref, cond_ref = zs.least_squares_solve(A, B, on_deficient="truncate")
+            assert cond_ref > 1e9
+            for other in (np.asfortranarray(A), A_top[:, cols]):
+                sol, res, cond = zs.least_squares_solve(other, B, on_deficient="truncate")
+                assert np.array_equal(sol, x_ref)
+                assert res == res_ref and cond == cond_ref
 
 
 class TestRoundtrips:

@@ -5,7 +5,11 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import zsscatter as zs
+from zsscatter import basis as basis_module, direct as direct_module
+from zsscatter.coeffs import DEFAULT_N_MAX
 from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
+from zsscatter.jost import JostFactors, z_of_rho
 from zsscatter.numerics import (
     CumulativeIntegrator,
     UniformGrid,
@@ -15,6 +19,7 @@ from zsscatter.numerics import (
     horner,
     integrate_linear_ode2,
     least_squares_solve,
+    midpoint_values,
     polynomial_roots,
     qr_stage_one,
     qr_stage_two,
@@ -226,6 +231,101 @@ class TestOdeIntegration:
                                   start_value=1.0, start_slope=0.0, direction=2)
 
 
+def _reference_ode2(grid, Q, drift, start_index, start_value, start_slope, direction,
+                    stop_index=None):
+    """The sweep loop that indexed the arrays at every step, kept as a reference."""
+    n = grid.n_points
+    if stop_index is None:
+        stop_index = n - 1 if direction == 1 else 0
+    h = grid.step * direction
+    Qh = midpoint_values(grid, Q)
+    w = np.full(n, np.nan, dtype=complex)
+    wp = np.full(n, np.nan, dtype=complex)
+    u = complex(start_value)
+    v = complex(start_slope)
+    w[start_index] = u
+    wp[start_index] = v
+    for j in range(start_index, stop_index, direction):
+        q0 = complex(Q[j])
+        qm = complex(Qh[j]) if direction == 1 else complex(Qh[j - 1])
+        q1 = complex(Q[j + direction])
+        k1u = v
+        k1v = q0 * u - drift * v
+        u2 = u + 0.5 * h * k1u
+        v2 = v + 0.5 * h * k1v
+        k2u = v2
+        k2v = qm * u2 - drift * v2
+        u3 = u + 0.5 * h * k2u
+        v3 = v + 0.5 * h * k2v
+        k3u = v3
+        k3v = qm * u3 - drift * v3
+        u4 = u + h * k3u
+        v4 = v + h * k3v
+        k4u = v4
+        k4v = q1 * u4 - drift * v4
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (abs(u) < 1e200 and abs(v) < 1e200):
+            raise NonFiniteValue("ODE sweep overflowed or produced NaN")
+        w[j + direction] = u
+        wp[j + direction] = v
+    return w, wp
+
+
+def _reference_scattering_coefficients(series, N, rho_grid):
+    """a and b with the factors at conj(z) evaluated, not conjugated, kept as a reference."""
+    rho = np.asarray(rho_grid, dtype=float)
+    z = z_of_rho(rho.astype(complex))
+    zb = np.conj(z)
+    factors = JostFactors.from_series(series, N)
+    Pb, Sb, Pa, Sa = factors.evaluate(z)
+    _, _, Pa_c, Sa_c = factors.evaluate(zb)
+    a_vals = Pb * Pa + (z + 1.0) ** 2 * Sb * Sa
+    b_vals = Pa_c * (z + 1.0) * Sb - (zb + 1.0) * Sa_c * Pb
+    return a_vals, b_vals
+
+
+_BASIS_FIELDS = ("e", "e_prime", "g", "g_prime", "eta", "eta_prime", "xi", "xi_prime")
+
+
+class TestDirectLayerBits:
+    """The list-based sweep and the conjugated factors change no bit of a direct solve."""
+
+    @pytest.mark.parametrize("direction,start,stop", [(1, 0, None), (-1, 100, None),
+                                                      (1, 20, 70), (-1, 80, 3), (1, 50, 50)])
+    def test_sweep_matches_reference_loop(self, direction, start, stop):
+        g = UniformGrid(1.0, 101)
+        for Q in (4.0 + np.sin(g.nodes), np.exp(1j * g.nodes) - 0.5):
+            args = (g, Q, 0.3, start, 1.0 - 0.5j, 0.5, direction, stop)
+            for got, ref in zip(integrate_linear_ode2(*args), _reference_ode2(*args)):
+                assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "sech_2.31", "sech_2", "zero"])
+    def test_direct_solve_matches_reference_loops(self, name, request, monkeypatch):
+        if name.startswith("sech_"):
+            mu = float(name[len("sech_"):])
+            p = zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": mu}),
+                            UniformGrid(30.0, 12001))
+            sd = zs.solve_direct(p)
+        else:
+            p, sd = request.getfixturevalue(f"{name}_direct")
+        basis = zs.compute_basis(p, reach=DEFAULT_N_MAX)
+        monkeypatch.setattr(basis_module, "integrate_linear_ode2", _reference_ode2)
+        monkeypatch.setattr(direct_module, "scattering_coefficients",
+                            _reference_scattering_coefficients)
+        ref_basis = zs.compute_basis(p, reach=DEFAULT_N_MAX)
+        for field in _BASIS_FIELDS:
+            assert np.array_equal(getattr(basis, field), getattr(ref_basis, field), equal_nan=True)
+        ref = zs.solve_direct(p, rho_count=sd.rho_grid.size)
+        assert sd.meta["n_terms"] == ref.meta["n_terms"]
+        assert np.array_equal(sd.series.a, ref.series.a)
+        assert np.array_equal(sd.series.b, ref.series.b)
+        assert np.array_equal(sd.a_values, ref.a_values)
+        assert np.array_equal(sd.b_values, ref.b_values)
+        assert [ev.rho for ev in sd.eigenvalues] == [ev.rho for ev in ref.eigenvalues]
+        assert np.array_equal(sd.norming_constants, ref.norming_constants)
+
+
 class TestHorner:
     # p(z) = (1+2i) - 3z + (0.5-1j) z^2 + 2i z^3
     coeffs = np.array([1.0 + 2.0j, -3.0, 0.5 - 1.0j, 2.0j])
@@ -384,6 +484,29 @@ def _reference_lsq(A, b, rank_tol=1e-12, on_deficient="raise"):
     return x, residual, float(dmax / diag[:rank].min())
 
 
+def _reference_stage_two(factor, n, rank_tol=1e-12):
+    """The stage two that formed Q explicitly, kept as a reference.
+
+    Returns (x, cond, R, perm), or None where the guard fails.
+    """
+    Q, R, perm = scipy.linalg.qr(np.triu(factor[:n, :n]), pivoting=True)
+    diag = np.abs(np.diagonal(R))
+    if not diag.min() > 1e3 * rank_tol * diag.max():
+        return None
+    x = np.empty(n)
+    x[perm] = scipy.linalg.solve_triangular(R, Q.T @ factor[:n, -1])
+    return x, float(diag.max() / diag.min()), R, perm
+
+
+def _spread_system(n, log_ratio, seed, extra_rows=40):
+    """A seeded (n + extra_rows) x n system with singular values 1 .. 10^-log_ratio."""
+    rng = np.random.default_rng(seed)
+    m = n + extra_rows
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * np.logspace(0.0, -log_ratio, n)) @ V.T, rng.standard_normal(m)
+
+
 class TestLeastSquares:
     def test_identity(self):
         x, res, cond = least_squares_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -483,6 +606,62 @@ class TestLeastSquares:
             # the pivot ratio lies between the rank tolerance and the margin
             assert 1e9 < least_squares_solve(A[:, :n], b)[2] < 1e12
             assert qr_stage_two(factor, n) is None
+
+    def test_factored_stage_two_matches_explicit_q(self, monkeypatch):
+        # geqp3 sees the same triangle as in the explicit-Q reference, so R,
+        # the pivots, the guard and the condition are the same bits; only
+        # applying the reflectors to Q^T b moves x, at rounding level
+        qr = scipy.linalg.qr
+        raw = []
+
+        def spy(a, *args, **kwargs):
+            out = qr(a, *args, **kwargs)
+            if kwargs.get("mode") == "raw":
+                (h, _), _, perm = out
+                raw.append((np.diagonal(h).copy(), perm.copy()))
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        outcomes = set()
+        for n in (1, 2, 3, 8, 31, 64, 127, 200, 250):
+            for log_ratio in (0.0, 4.0, 8.0, 9.1, 9.5, 10.0, 10.5):
+                A, b = _spread_system(n, log_ratio, seed=1000 * n + int(10 * log_ratio))
+                factor, _ = qr_stage_one(A, b)
+                ref = _reference_stage_two(factor, n)
+                raw.clear()
+                got = qr_stage_two(factor, n)
+                assert len(raw) == 1
+                diag, perm = raw[0]
+                outcomes.add(got is None)
+                assert (got is None) == (ref is None), (n, log_ratio)
+                if ref is None:
+                    continue
+                x_ref, cond_ref, R_ref, perm_ref = ref
+                assert np.array_equal(diag, np.diagonal(R_ref))
+                assert np.array_equal(perm, perm_ref)
+                x, cond = got
+                assert cond == cond_ref
+                assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+        # both sides of the guard were taken
+        assert outcomes == {True, False}
+
+    def test_layout_of_a_does_not_change_the_bits(self):
+        # past the two-stage guard the rank decision turns last-bit changes
+        # of the column norms into different answers, so a column-major A or
+        # a gather of its columns must be solved exactly like the row-major A
+        A, b = _spread_system(40, 10.5, seed=9, extra_rows=260)
+        rng = np.random.default_rng(10)
+        wide = rng.standard_normal((300, 70))
+        cols = rng.permutation(70)[:40]
+        wide[:, cols] = A
+        x, res, cond = least_squares_solve(A, b, on_deficient="truncate")
+        assert 1e9 < cond < 1e12
+        for other in (np.asfortranarray(A), wide[:, cols]):
+            assert not other.flags.c_contiguous
+            x_o, res_o, cond_o = least_squares_solve(other, b, on_deficient="truncate")
+            assert np.array_equal(x_o, x)
+            assert res_o == res
+            assert cond_o == cond
 
     def test_stage_one_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):
