@@ -166,6 +166,7 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "collocation_count": info["collocation_count"],
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
         "selection_fallbacks": info.get("selection_fallbacks", 0),
+        "sweep_fallbacks": info["sweep_fallbacks"],
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],
         "discrepancy": info["discrepancy"],

@@ -348,12 +348,16 @@ def validate_scattering(sd: ScatteringData) -> dict:
 
 
 def scattering_to_json(sd: ScatteringData) -> str:
+    def floats(v):
+        # one conversion per array; json.dumps writes Python floats by repr
+        return np.asarray(v, dtype=float).tolist()
+
     payload = {
-        "rho": [float(v) for v in sd.rho_grid],
-        "a_re": [float(v) for v in sd.a_values.real],
-        "a_im": [float(v) for v in sd.a_values.imag],
-        "b_re": [float(v) for v in sd.b_values.real],
-        "b_im": [float(v) for v in sd.b_values.imag],
+        "rho": floats(sd.rho_grid),
+        "a_re": floats(sd.a_values.real),
+        "a_im": floats(sd.a_values.imag),
+        "b_re": floats(sd.b_values.real),
+        "b_im": floats(sd.b_values.imag),
         "eigenvalues": [
             {"re": float(ev.rho.real), "im": float(ev.rho.imag)} for ev in sd.eigenvalues
         ],

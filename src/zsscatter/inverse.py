@@ -84,12 +84,23 @@ class InverseConfig:
 
 @dataclass(frozen=True)
 class RecoveredCoefficients:
+    """Per-node solutions of the inverse sweep.
+
+    ``X`` holds, per x node, the real blocks Re b_n, Im b_n, Re a_n, Im a_n
+    (n = 0..N) one after the other.  ``residuals`` and ``rhs_norms`` are
+    those of the real split of the collocation system (for a node solved
+    in complex form, the complex norms divided by sqrt 2, which is the same
+    number in exact arithmetic).  ``fell_back`` marks the nodes whose
+    complex solve failed the two-stage guard and were solved in real form.
+    """
+
     x_grid: UniformGrid
     N: int
     X: np.ndarray  # (n_x, 4(N+1)) real
     residuals: np.ndarray
     rhs_norms: np.ndarray
     conditions: np.ndarray
+    fell_back: np.ndarray | None = None
 
     def _block(self, i: int) -> np.ndarray:
         return self.X[:, i * (self.N + 1)]
@@ -128,12 +139,32 @@ class RecoveredPotential:
     discrepancy: float
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
+def _pair_rows(r1: np.ndarray, r2: np.ndarray, out: np.ndarray) -> None:
+    """out = [r1 + i r2, conj(r1 - i r2)], the complex form of a pair of rows."""
+    n = r1.size
+    np.add(r1, 1j * r2, out=out[:n])
+    np.conjugate(r1 - 1j * r2, out=out[n:])
+
+
 class _FactorTables:
     """x-independent pieces of the collocation rows for a fixed N.
 
-    The tables own the real system matrix of their sweep: ``assemble``
-    writes each x node's matrix into it, so the sweep allocates no
-    matrix-sized array per node.
+    At each x node the collocation equations are complex rows s1, s2 (one
+    pair per rho point) and s3, s4 (one pair per eigenvalue) acting on the
+    real unknowns Re b_n, Im b_n, Re a_n, Im a_n.  ``assemble_real`` writes
+    their real split, 4(K + M) x 4(N + 1).  The rows are complex-linear in
+    b_n and a_n, so ``assemble`` writes them in complex form instead:
+    unknowns b_0, a_0, b_1, a_1, ..., b_N, a_N and, per pair, the rows
+    s1 + i s2 and conj(s1 - i s2) with right-hand sides to match.  Since
+    |U|^2 + |V|^2 = (|U + iV|^2 + |U - iV|^2) / 2, this 2(K + M) x 2(N + 1)
+    system has the least-squares minimizer of the real split.
+
+    The tables own the matrices of both forms and reuse them for every
+    node, so a sweep allocates no matrix-sized array per node; each form's
+    buffers are allocated at its first use.
     """
 
     def __init__(self, sd: ScatteringData, N: int, K: int | None = None):
@@ -158,30 +189,78 @@ class _FactorTables:
         self.M = sd.M
         self.N = N
         z = z_of_rho(self.rho.astype(complex))
-        self.Pz = JostFactors.collocation_columns(z, N)
+        # column-major, as the complex system is: the per-node products then
+        # run down contiguous columns (the values do not depend on the layout)
+        self.Pz = np.asfortranarray(JostFactors.collocation_columns(z, N))
         self.aPzb = self.a[:, None] * np.conj(self.Pz)
         self.bPz = self.b[:, None] * self.Pz
         self.rho_m = np.array([ev.rho for ev in sd.eigenvalues], dtype=complex)
         zm = np.array([ev.z for ev in sd.eigenvalues], dtype=complex)
         self.Pzm = JostFactors.collocation_columns(zm, N)
         self.c = sd.norming_constants.astype(complex)
-        # complex rows s1 (K), s2 (K), s3 (M), s4 (M), each of four column
-        # blocks of N + 1; their real parts, then their imaginary parts.  The
-        # zero blocks are never written.
         self._rows = 2 * (self.K + self.M)
-        self._A = np.zeros((2 * self._rows, 4 * (N + 1)))
-        self._product = np.empty((self.K, N + 1), dtype=complex)
+        self._C = None  # complex form, column-major as LAPACK factors it
+        self._A = None  # real split
+
+    def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """The complex system (C, r) at x; both are the tables' buffers,
+        overwritten by the next call."""
+        K, M = self.K, self.M
+        if self._C is None:
+            self._C = np.empty((self._rows, 2 * (self.N + 1)), dtype=complex, order="F")
+            self._r = np.empty(self._rows, dtype=complex)
+            self._pa = np.empty_like(self.Pz)
+            self._pb = np.empty_like(self.Pz)
+        C, r = self._C, self._r
+        em = np.exp(-1j * self.rho * x)
+        ep = np.conj(em)  # rho is real on the collocation grid
+        # s1 = [em Pz, 0, pa, pb] and s2 = [0, em Pz, -pb, pa] on the real
+        # blocks, with pa = -em aPzb and pb = ep bPz; so on (b_n, a_n)
+        # s1 + i s2 = [em Pz, pa - i pb] and conj(s1 - i s2) = conj[em Pz, pa + i pb]
+        u, v = C[:K], C[K : 2 * K]
+        np.multiply(em[:, None], self.Pz, out=u[:, 0::2])
+        np.conjugate(u[:, 0::2], out=v[:, 0::2])
+        pa = np.multiply(-em[:, None], self.aPzb, out=self._pa)
+        pb = np.multiply(ep[:, None], self.bPz, out=self._pb)
+        np.multiply(pb, 1j, out=v[:, 1::2])
+        np.subtract(pa, v[:, 1::2], out=u[:, 1::2])
+        np.add(pa, v[:, 1::2], out=v[:, 1::2])
+        np.conjugate(v[:, 1::2], out=v[:, 1::2])
+        _pair_rows((self.a - 1.0) * em, self.b * ep, out=r[: 2 * K])
+        if M:
+            # s3 = [pm, 0, 0, qm] and s4 = [0, pm, -qm, 0], with pm = emm Pzm
+            # and qm = cep Pzm: s3 + i s4 = [pm, -i qm], likewise conjugated
+            emm = np.exp(-1j * self.rho_m * x)
+            cep = self.c * np.exp(1j * self.rho_m * x)
+            pm = emm[:, None] * self.Pzm
+            qm = cep[:, None] * self.Pzm
+            u3, v3 = C[2 * K : 2 * K + M], C[2 * K + M :]
+            u3[:, 0::2] = pm
+            np.multiply(qm, -1j, out=u3[:, 1::2])
+            np.conjugate(pm, out=v3[:, 0::2])
+            np.multiply(np.conj(qm), -1j, out=v3[:, 1::2])
+            _pair_rows(-emm, cep, out=r[2 * K :])
+        return C, r
 
     def _put(self, row: int, block: int, product: np.ndarray) -> None:
-        """Write a complex block's real and imaginary parts into the matrix."""
+        """Write a complex block's real and imaginary parts into the real split."""
         rows = slice(row, row + product.shape[0])
         imag_rows = slice(self._rows + row, self._rows + row + product.shape[0])
         cols = slice(block * (self.N + 1), (block + 1) * (self.N + 1))
         self._A[rows, cols] = product.real
         self._A[imag_rows, cols] = product.imag
 
-    def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """A and B at x; A is the tables' matrix, overwritten by the next call."""
+    def assemble_real(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """The real split (A, B) at x; A is the tables' matrix, overwritten by
+        the next call.
+
+        A holds the real parts of rows s1 (K), s2 (K), s3 (M), s4 (M), then
+        their imaginary parts, on four column blocks of N + 1: Re b_n,
+        Im b_n, Re a_n, Im a_n.  The zero blocks are never written.
+        """
+        if self._A is None:
+            self._A = np.zeros((2 * self._rows, 4 * (self.N + 1)))
+            self._product = np.empty((self.K, self.N + 1), dtype=complex)
         K, put, prod = self.K, self._put, self._product
         em = np.exp(-1j * self.rho * x)
         ep = np.conj(em)  # rho is real on the collocation grid
@@ -214,7 +293,7 @@ def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, n
 
     The arrays are the caller's: no later call overwrites them.
     """
-    return _FactorTables(sd, N).assemble(x)
+    return _FactorTables(sd, N).assemble_real(x)
 
 
 def _require_overdetermined(tables: _FactorTables) -> None:
@@ -223,23 +302,34 @@ def _require_overdetermined(tables: _FactorTables) -> None:
 
 
 def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
+    """Solve every node in complex form.  A node whose complex system fails
+    the two-stage guard of ``least_squares_solve`` is solved in real form,
+    exactly as a sweep on the real split solves it, so that near the rank
+    edge, where the answer turns on rounding, it keeps those bits."""
     _require_overdetermined(tables)
     N = tables.N
-    n_cols = 4 * (N + 1)
-    X = np.empty((grid.n_points, n_cols))
+    X = np.empty((grid.n_points, 4, N + 1))
     residuals = np.empty(grid.n_points)
     rhs_norms = np.empty(grid.n_points)
     conditions = np.empty(grid.n_points)
+    fell_back = np.zeros(grid.n_points, dtype=bool)
     for j, x in enumerate(grid.nodes):
-        A, B = tables.assemble(float(x))
-        rhs_norms[j] = np.linalg.norm(B)
-        sol, res, cond = _solve_node(A, B, x)
-        X[j] = sol
-        residuals[j] = res
-        conditions[j] = cond
+        C, r = tables.assemble(float(x))
+        rhs_norms[j] = np.linalg.norm(r) / _SQRT2
+        solved = least_squares_solve(C, r, fallback=False)
+        if solved is None:
+            fell_back[j] = True
+            A, B = tables.assemble_real(float(x))
+            sol, residuals[j], conditions[j] = _solve_node(A, B, x)
+            X[j] = sol.reshape(4, N + 1)
+        else:
+            sol, res, conditions[j] = solved
+            residuals[j] = res / _SQRT2
+            b, a = sol[0::2], sol[1::2]
+            X[j] = b.real, b.imag, a.real, a.imag
     return RecoveredCoefficients(
-        x_grid=grid, N=N, X=X, residuals=residuals, rhs_norms=rhs_norms,
-        conditions=conditions,
+        x_grid=grid, N=N, X=X.reshape(grid.n_points, -1), residuals=residuals,
+        rhs_norms=rhs_norms, conditions=conditions, fell_back=fell_back,
     )
 
 
@@ -261,16 +351,22 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     Im a0, and the boolean (len(candidates), n_nodes) array of
     node-candidate solves that went to the per-candidate path.
 
-    One table build serves all candidates: with the columns taken in
-    degree order (Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N), the system
-    of candidate N is the leading 4(N + 1) columns of the largest
-    candidate's, bit for bit, since the power columns come from a
-    sequential recurrence and the products are elementwise.  So one stage-one
-    QR per node (``qr_stage_one``) serves every candidate, and stage two runs
-    on each candidate's leading triangle.  Where stage two fails its guard,
-    that candidate and the larger ones at the node are solved by
-    ``least_squares_solve`` on their own columns in the sweep's block order,
-    which is exactly the solve of a per-candidate sweep.
+    One table build serves all candidates: with the columns of the real
+    split taken in degree order (Re b_n, Im b_n, Re a_n, Im a_n for
+    n = 0..N), the system of candidate N is the leading 4(N + 1) columns of
+    the largest candidate's, bit for bit, since the power columns come from
+    a sequential recurrence and the products are elementwise.  So one
+    stage-one QR per node (``qr_stage_one``) serves every candidate, and
+    stage two runs on each candidate's leading triangle.  Where stage two
+    fails its guard, that candidate and the larger ones at the node are
+    solved by ``least_squares_solve`` on their own columns in the sweep's
+    block order, which is exactly the node solve of a real per-candidate
+    sweep.
+
+    The selection stays on the real split.  eps(N) on the plateau past the
+    optimal N is rounding noise, and the complex form lowers it (on ex1,
+    [-8, 8], N = 25..70: 9.4e-11..2.9e-10 real, 1.6e-11..8.8e-11 complex),
+    which moves the argmin from 25 to 45 or 55.
     """
     top = _FactorTables(sd, candidates[-1], K)
     _require_overdetermined(top)
@@ -281,7 +377,7 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     order_zero = np.empty((len(candidates), grid.n_points, 4))
     fell_back = np.zeros((len(candidates), grid.n_points), dtype=bool)
     for j, x in enumerate(grid.nodes):
-        A, B = top.assemble(float(x))
+        A, B = top.assemble_real(float(x))
         factor, col_scale = qr_stage_one(A[:, degree_order], B)
         nested = True
         for i, N in enumerate(candidates):
@@ -382,6 +478,7 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     # fewer distinct points than cfg.K may enter the solve
     info["collocation_count"] = tables.K
     coeffs = _solve_sweep(tables, cfg.x_grid())
+    info["sweep_fallbacks"] = int(np.count_nonzero(coeffs.fell_back))
     info["max_residual"] = float(np.max(coeffs.residuals))
     info["max_condition"] = float(np.max(coeffs.conditions))
     recovered = recover_potential(coeffs)

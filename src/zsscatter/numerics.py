@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
@@ -306,22 +307,28 @@ def least_squares_solve(
     b: np.ndarray,
     rank_tol: float = 1e-12,
     on_deficient: str = "raise",
-) -> tuple[np.ndarray, float, float]:
+    fallback: bool = True,
+) -> tuple[np.ndarray, float, float] | None:
     """Minimize ||Ax - b||_2 by a QR of [A | b], then pivoted QR of its triangle.
 
-    The columns of A are scaled to unit norm first.  Stage one
-    (:func:`qr_stage_one`) is an unpivoted blocked Householder QR of the
-    m x (n+1) matrix [A | b]; its n x n triangle R0 and last column Q^T b
-    stand in for A and b, and Q is never formed.  Stage two
-    (:func:`qr_stage_two`) is a column-pivoted QR of R0, which has the
-    column norms of A, so its pivots, rank test and condition estimate are
-    those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS 8,
-    1982); its reflectors are applied to Q^T b in factored form, so neither
-    stage forms its Q.  The two-stage result is kept only when the smallest
-    pivot exceeds ``1e3 * rank_tol`` times the largest (condition below 1e9
-    at the default); otherwise the system is solved, bit for bit as before,
-    by one column-pivoted QR of A.  A is taken in row-major order whatever
-    its layout, so a column-major or gathered A gives the same bits.
+    A and b may be real or complex; a complex system is solved in complex
+    arithmetic, with no real split.  The columns of A are scaled to unit
+    norm first.  Stage one (:func:`qr_stage_one`) is an unpivoted blocked
+    Householder QR of the m x (n+1) matrix [A | b]; its n x n triangle R0
+    and last column Q^H b stand in for A and b, and Q is never formed.
+    Stage two (:func:`qr_stage_two`) is a column-pivoted QR of R0, which has
+    the column norms of A, so its pivots, rank test and condition estimate
+    are those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS
+    8, 1982); its reflectors are applied to Q^H b in factored form, so
+    neither stage forms its Q.  The two-stage result is kept only when the
+    smallest pivot exceeds ``1e3 * rank_tol`` times the largest (condition
+    below 1e9 at the default); otherwise the system is solved by one
+    column-pivoted QR of A (a real one bit for bit as before the two-stage
+    solve), or, with ``fallback=False``, None is returned and the caller
+    solves it by other means.  Any layout
+    of A gives the same bits: a real A is taken in row-major order, as it
+    always was, and a complex A in column-major order, the one LAPACK
+    factors, so that a column-major complex A is not transposed.
 
     Returns (x, residual_norm, condition_estimate), the condition estimate
     being the ratio of extreme diagonal magnitudes of the pivoted triangular
@@ -334,18 +341,37 @@ def least_squares_solve(
     """
     if on_deficient not in ("raise", "truncate"):
         raise ValueError("on_deficient must be 'raise' or 'truncate'")
+    dtype = _solve_dtype(A, b)
     # the column norms, and past the guard the rank decision, depend on the
-    # summation order, so every layout of A is solved as its row-major copy
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    # summation order, so every layout of A is solved as one fixed layout
+    if dtype.kind == "c":
+        A = np.asfortranarray(A, dtype=dtype)
+    else:
+        A = np.ascontiguousarray(A, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     factor, col_scale = qr_stage_one(A, b)
     solved = qr_stage_two(factor, A.shape[1], rank_tol)
     if solved is None:
+        if not fallback:
+            return None
         solved = _pivoted_qr_solve(A / col_scale, b, rank_tol, on_deficient)
     x, cond = solved
     x /= col_scale
-    residual = float(np.linalg.norm(A @ x - b))
+    if dtype.kind == "c":
+        # SciPy's BLAS, the library that factored A: NumPy links an OpenBLAS
+        # of its own, and its threaded zgemv between SciPy's LAPACK calls
+        # leaves two thread pools contending for the cores (at two threads
+        # on two cores the next zgeqrt took 3x as long)
+        Ax = scipy.linalg.blas.zgemv(1.0, A, x)
+    else:
+        Ax = A @ x
+    residual = float(np.linalg.norm(Ax - b))
     return x, residual, cond
+
+
+def _solve_dtype(A, b) -> np.dtype:
+    """float64, or complex128 if A or b is complex."""
+    return np.result_type(np.asarray(A).dtype, np.asarray(b).dtype, np.float64)
 
 
 def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,40 +380,65 @@ def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The columns of A are scaled to unit norm (``col_scale`` holds the norms,
     1 for a zero column), and ``factor`` is the blocked Householder QR of the
     equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
-    triangle and Q^T b in its last column.  Householder reflector k touches
-    rows k..m-1 only, and a column's scale does not depend on the others,
-    so for every n' <= n the leading n' x n' triangle and the first n'
-    entries of the last column are the stage-one factors of the system of
-    A's leading n' columns.  NaN or inf in A or b raises ValueError.
+    triangle and Q^H b in its last column.  The factor is real (dgeqrt) for
+    real A and b and complex (zgeqrt) if either is complex.  Householder
+    reflector k touches rows k..m-1 only, and a column's scale does not
+    depend on the others, so for every n' <= n the leading n' x n' triangle
+    and the first n' entries of the last column are the stage-one factors
+    of the system of A's leading n' columns.  NaN or inf in A or b raises
+    ValueError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    dtype = _solve_dtype(A, b)
+    A = np.asarray(A, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise ValueError("A must be m x n with m >= n >= 1")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
     # equilibrate columns so the rank test is invariant to column scaling;
     # this rescales the unknowns, which leaves the minimizer unchanged
-    # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
-    col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
+    if dtype.kind == "c":
+        col_scale = np.linalg.norm(A, axis=0)
+    else:
+        # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
+        col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
     col_scale[col_scale == 0.0] = 1.0
     m, n = A.shape
-    aug = np.empty((m, n + 1), order="F")
+    aug = np.empty((m, n + 1), dtype, order="F")
     np.divide(A, col_scale, out=aug[:, :n])
     aug[:, n] = b
-    factor, _, info = scipy.linalg.lapack.dgeqrt(min(_QR_BLOCK, n), aug, overwrite_a=True)
+    geqrt = scipy.linalg.lapack.get_lapack_funcs("geqrt", (aug,))
+    factor, _, info = geqrt(min(_QR_BLOCK, n), aug, overwrite_a=True)
     if info != 0:
         raise ValueError(f"geqrt failed with info = {info}")
     return factor, col_scale
 
 
+def _pivoted_qr_raw(a: np.ndarray):
+    """(h, tau, perm) of LAPACK geqp3 on a, as ``scipy.linalg.qr(a, pivoting=True,
+    mode="raw")`` gives them, but without the triangle copy that call makes.
+
+    The workspace comes from the same query, so the blocking and the bits
+    are those of the SciPy call.  A Fortran-ordered float64 or complex128
+    ``a`` is overwritten in place.
+    """
+    geqp3 = scipy.linalg.lapack.get_lapack_funcs("geqp3", (a,))
+    work = geqp3(a, lwork=-1, overwrite_a=True)[-2]
+    h, jpvt, tau, _, info = geqp3(a, lwork=int(work[0].real), overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    jpvt -= 1  # geqp3 numbers columns from 1
+    return h, tau, jpvt
+
+
 def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
     """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
 
-    A column-pivoted QR (LAPACK geqp3) of the leading n x n triangle R0
-    leaves its Householder reflectors in factored form; LAPACK ormqr applies
-    their transpose to the first n entries of the factor's last column, and
-    R is solved by back substitution.  Q is never formed.
+    A column-pivoted QR (LAPACK geqp3, see ``_pivoted_qr_raw``) of the
+    leading n x n triangle R0 leaves its Householder reflectors in factored
+    form; LAPACK ormqr (unmqr for a complex factor) applies their
+    (conjugate) transpose to the first n entries of the factor's last
+    column, and R is solved by back substitution.  Q is never formed.
 
     Returns (x, cond) of the equilibrated system (divide x by the leading
     n entries of ``col_scale`` for the solution of A x = b), or None when
@@ -396,18 +447,19 @@ def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
     """
     # the transpose of a lower triangle is a column-major upper one, which
     # geqp3 overwrites in place instead of copying
-    triangle = np.tril(factor[:n, :n].T).T
-    (h, tau), _, perm = scipy.linalg.qr(
-        triangle, pivoting=True, mode="raw", overwrite_a=True, check_finite=False
-    )
+    h, tau, perm = _pivoted_qr_raw(np.tril(factor[:n, :n].T).T)
     diag = np.abs(np.diagonal(h))
     if not diag.min() > _TWO_STAGE_MARGIN * rank_tol * diag.max():
         return None
     # lwork = 1 selects the unblocked reflector loop, the cheap one for one column
-    qtc, _, info = scipy.linalg.lapack.dormqr("L", "T", h, tau, factor[:n, -1:], 1)
+    if h.dtype.kind == "c":
+        ormqr, trans = scipy.linalg.lapack.zunmqr, "C"
+    else:
+        ormqr, trans = scipy.linalg.lapack.dormqr, "T"
+    qtc, _, info = ormqr("L", trans, h, tau, factor[:n, -1:], 1)
     if info != 0:
-        raise ValueError(f"ormqr failed with info = {info}")
-    x = np.empty(n)
+        raise ValueError(f"ormqr/unmqr failed with info = {info}")
+    x = np.empty(n, h.dtype)
     # back substitution reads only the upper triangle, R; below it lie the reflectors
     x[perm] = scipy.linalg.solve_triangular(h, qtc[:, 0])
     return x, float(diag.max() / diag.min())
@@ -423,11 +475,11 @@ def _pivoted_qr_solve(A_s, b, rank_tol, on_deficient):
         if on_deficient == "raise" or rank == 0:
             raise RankDeficient("triangular factor has a near-zero diagonal entry")
         # pivoting pushes deficient columns to the back; keep the leading block
-        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ b)
-        x = np.zeros(A_s.shape[1])
+        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T.conj() @ b)
+        x = np.zeros(A_s.shape[1], A_s.dtype)
         x[perm[:rank]] = y
     else:
-        y = scipy.linalg.solve_triangular(R, Q.T @ b)
+        y = scipy.linalg.solve_triangular(R, Q.T.conj() @ b)
         x = np.empty_like(y)
         x[perm] = y
     return x, float(dmax / diag[:rank].min())

@@ -162,6 +162,7 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
     assert 0 < summary["collocation_count"] < 150
     assert summary["selection_fallbacks"] == 0
+    assert summary["sweep_fallbacks"] == 0
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):

@@ -168,6 +168,42 @@ def test_json_roundtrip(ex1_direct):
     assert zs.scattering_to_json(sd2) == text
 
 
+def _per_element_json(sd):
+    """The writer that converted each array element with float(), kept as a reference."""
+    payload = {
+        "rho": [float(v) for v in sd.rho_grid],
+        "a_re": [float(v) for v in sd.a_values.real],
+        "a_im": [float(v) for v in sd.a_values.imag],
+        "b_re": [float(v) for v in sd.b_values.real],
+        "b_im": [float(v) for v in sd.b_values.imag],
+        "eigenvalues": [
+            {"re": float(ev.rho.real), "im": float(ev.rho.imag)} for ev in sd.eigenvalues
+        ],
+        "norming": [
+            {"re": float(c.real), "im": float(c.imag)} for c in sd.norming_constants
+        ],
+        "n_terms": int(sd.meta.get("n_terms", 0)),
+        "potential_desc": str(sd.meta.get("potential_desc", "")),
+    }
+    return json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("fixture", ["ex1_direct", "zero_direct"])
+def test_json_text_matches_per_element_writer(fixture, request):
+    _, sd = request.getfixturevalue(fixture)
+    assert zs.scattering_to_json(sd) == _per_element_json(sd)
+    # signed zeros, an integer grid and a parsed copy write the same text too
+    rho = np.arange(-3, 4)
+    a = np.array([1.0, -0.0, 0.5, 1e-300, -2.5e17, 0.1, 1.0]) + 1j * np.array(
+        [-0.0, 0.0, 3.0, -1e-320, 7.0, -0.2, 0.0])
+    odd = ScatteringData(rho_grid=rho, a_values=a, b_values=a[::-1].copy(),
+                         eigenvalues=sd.eigenvalues, norming_constants=sd.norming_constants,
+                         meta=dict(sd.meta))
+    assert zs.scattering_to_json(odd) == _per_element_json(odd)
+    copy = zs.scattering_from_json(zs.scattering_to_json(sd))
+    assert zs.scattering_to_json(copy) == _per_element_json(copy)
+
+
 def test_series_is_kept_but_not_serialized(ex1_direct):
     _, sd = ex1_direct
     assert sd.series.N_max == sd.meta["n_max"]

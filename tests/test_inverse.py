@@ -74,8 +74,10 @@ class TestAssembly:
             assert np.linalg.norm(A @ X - B) < 1e-4 * max(1.0, np.linalg.norm(B))
 
 
-def _reference_assemble(tables, x):
-    """The allocating assembly the per-sweep matrix replaced, kept as a reference."""
+def _reference_rows(tables, x):
+    """The allocating assembly of the complex rows s1, s2 (and s3, s4) over the
+    real unknowns Re b_n, Im b_n, Re a_n, Im a_n, with their right-hand sides,
+    as the real sweep built them."""
     n1 = tables.N + 1
     em = np.exp(-1j * tables.rho * x)
     ep = np.conj(em)
@@ -95,9 +97,43 @@ def _reference_assemble(tables, x):
         rows += [np.hstack([emm[:, None] * tables.Pzm, zm0, zm0, cep[:, None] * tables.Pzm]),
                  np.hstack([zm0, emm[:, None] * tables.Pzm, -cep[:, None] * tables.Pzm, zm0])]
         rhs += [-emm, cep]
+    return rows, rhs
+
+
+def _reference_assemble(tables, x):
+    """The allocating real split the per-sweep matrix replaced, kept as a reference."""
+    rows, rhs = _reference_rows(tables, x)
     C = np.vstack(rows)
     r = np.concatenate(rhs)
     return np.vstack([C.real, C.imag]), np.concatenate([r.real, r.imag])
+
+
+def _reference_complex(tables, x):
+    """The complex form from the reference rows: s1 + i s2 and conj(s1 - i s2)
+    per pair, read off on the columns Re b_n and Re a_n, in degree order.
+
+    Also returns the largest violation of complex linearity: on these rows
+    the Im b_n and Im a_n columns are i times the Re b_n and Re a_n ones.
+    """
+    rows, rhs = _reference_rows(tables, x)
+    W, w = [], []
+    for s, t, p, q in zip(rows[::2], rows[1::2], rhs[::2], rhs[1::2]):
+        W += [s + 1j * t, np.conj(s - 1j * t)]
+        w += [p + 1j * q, np.conj(p - 1j * q)]
+    W = np.vstack(W)
+    n1 = tables.N + 1
+    re_b, im_b, re_a, im_a = (W[:, k * n1:(k + 1) * n1] for k in range(4))
+    C = np.empty((W.shape[0], 2 * n1), dtype=complex)
+    C[:, 0::2] = re_b
+    C[:, 1::2] = re_a
+    defect = max(np.max(np.abs(im_b - 1j * re_b)), np.max(np.abs(im_a - 1j * re_a)))
+    return C, np.concatenate(w), defect / np.max(np.abs(W))
+
+
+def _as_blocks(sol):
+    """Re b_n, Im b_n, Re a_n, Im a_n from a complex-form solution in degree order."""
+    b, a = sol[0::2], sol[1::2]
+    return np.concatenate([b.real, b.imag, a.real, a.imag])
 
 
 @pytest.fixture(scope="module", params=[(0.4, 0), (1.3, 1)], ids=["M0", "M1"])
@@ -117,7 +153,11 @@ class TestSweepBuffers:
         for K in (None, 400):
             tables = inverse._FactorTables(sd, 25, K)
             for x in (-2.0, 0.0, 1.3):
-                A, B = tables.assemble(x)
+                C, r = tables.assemble(x)
+                C_ref, r_ref, defect = _reference_complex(tables, x)
+                assert np.array_equal(C, C_ref) and np.array_equal(r, r_ref)
+                assert defect <= 1e-15
+                A, B = tables.assemble_real(x)
                 A_ref, B_ref = _reference_assemble(tables, x)
                 assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
         # assemble_system hands out arrays no later call overwrites
@@ -126,13 +166,20 @@ class TestSweepBuffers:
         A_ref, B_ref = _reference_assemble(inverse._FactorTables(sd, 25), -2.0)
         assert np.array_equal(A0, A_ref) and np.array_equal(B0, B_ref)
 
+    def test_no_real_split_without_a_fallback(self, sech_data):
+        tables = inverse._FactorTables(sech_data, 20)
+        coeffs = inverse._solve_sweep(tables, zs.UniformGrid(1.0, 11))
+        assert not coeffs.fell_back.any()
+        assert tables._A is None
+
     def test_sweep_equals_fresh_per_node_solves(self, sech_data):
         sd = sech_data
         grid = zs.UniformGrid(1.0, 11)
         X = inverse._solve_sweep(inverse._FactorTables(sd, 20), grid).X
         for j, x in enumerate(grid.nodes):
-            A, B = zs.assemble_system(float(x), sd, 20)
-            assert np.array_equal(X[j], zs.least_squares_solve(A, B, on_deficient="truncate")[0])
+            C, r = inverse._FactorTables(sd, 20).assemble(float(x))
+            sol, _, _ = zs.least_squares_solve(C, r)
+            assert np.array_equal(X[j], _as_blocks(sol))
 
 
 class TestTrivialPipeline:
@@ -162,12 +209,12 @@ class TestTrivialPipeline:
         for K in (200, 400):
             cfg = zs.InverseConfig(x_half_width=4.0, x_points=11, K=K, N=5)
             _, _, info = zs.solve_inverse(sd, cfg)
-            # two complex equations per rho node, split into real and imaginary rows
-            assert info["collocation_count"] == rows[-1] // 4
+            # two complex rows per rho node: s1 + i s2 and conj(s1 - i s2)
+            assert info["collocation_count"] == rows[-1] // 2
         # theta-uniform subsampling merges targets near rho = 0
         _, _, info = zs.solve_inverse(sd, zs.InverseConfig(x_half_width=4.0, x_points=11, K=200, N=5))
         assert info["collocation_count"] < 200
-        assert rows[-1] // 4 < 200
+        assert rows[-1] // 2 < 200
 
     def test_selection_ties_to_smallest(self):
         sd = _trivial_data()
@@ -196,17 +243,29 @@ class TestSelection:
         assert eps[N] <= min(eps.values()) + 1e-30
 
 
+def _real_sweep(sd, N, K, grid):
+    """The real sweep, kept as a reference: one ``least_squares_solve`` of the
+    reference real split per node.  Returns (X, residuals, conditions)."""
+    tables = inverse._FactorTables(sd, N, K)
+    solves = [zs.least_squares_solve(*_reference_assemble(tables, float(x)),
+                                     on_deficient="truncate") for x in grid.nodes]
+    X, res, cond = zip(*solves)
+    return np.array(X), np.array(res), np.array(cond)
+
+
 def _reference_select(sd, cfg):
-    """The per-candidate selection the nested QR replaced, kept as a reference.
+    """The per-candidate selection on real sweeps, kept as a reference.
 
     Returns (N, eps_table, order-zero entries of shape (candidates, nodes, 4)).
     """
     grid = cfg.selection_grid()
     eps_table, zero = {}, []
     for N in cfg.candidates:
-        coeffs = inverse._solve_sweep(inverse._FactorTables(sd, N, cfg.selection_K), grid)
-        eps_table[N] = float(np.max(np.abs(zs.differentiate(grid, coeffs.wronskian_curve()))))
-        zero.append(np.stack([coeffs.re_b0, coeffs.im_b0, coeffs.re_a0, coeffs.im_a0], axis=1))
+        X, _, _ = _real_sweep(sd, N, cfg.selection_K, grid)
+        entries = X[:, :: N + 1]
+        eps_table[N] = float(np.max(np.abs(zs.differentiate(
+            grid, inverse._wronskian_curve(*entries.T)))))
+        zero.append(entries)
     return min(eps_table, key=eps_table.get), eps_table, np.array(zero)
 
 
@@ -233,7 +292,10 @@ class TestNestedSelection:
         assert fell_back.any() and not fell_back.all()
         # per node, the candidates past the first failure fall back too
         assert np.all(np.diff(fell_back.astype(int), axis=0) >= 0)
+        # the fallbacks are the per-candidate solves bit for bit, the nested
+        # solves agree with them to rounding
         assert np.array_equal(zero[fell_back], zero_ref[fell_back])
+        assert np.max(np.abs(zero[~fell_back] - zero_ref[~fell_back])) <= 1e-10
         N, eps, fallbacks = zs.select_truncation_inverse(sd, cfg)
         assert N == N_ref
         assert fallbacks == np.count_nonzero(fell_back)
@@ -260,10 +322,10 @@ class TestNestedSelection:
         sd = sech_data
         top = inverse._FactorTables(sd, 30, 400)
         for x in (-2.0, 0.0, 1.3):
-            A_top, B_top = top.assemble(x)
+            A_top, B_top = top.assemble_real(x)
             A_top, B_top = A_top.copy(), B_top.copy()
             for N in (0, 7, 29, 30):
-                A, B = inverse._FactorTables(sd, N, 400).assemble(x)
+                A, B = inverse._FactorTables(sd, N, 400).assemble_real(x)
                 # the candidate's columns in the sweep's block order ...
                 cols = np.arange(4)[:, None] * (top.N + 1) + np.arange(N + 1)
                 assert np.array_equal(A_top[:, cols.ravel()], A)
@@ -283,26 +345,66 @@ class TestNestedSelection:
 
 
 class TestSweepKernel:
-    def test_two_stage_solve_matches_single_stage_sweep(self, ex1_direct, monkeypatch):
+    def test_two_stage_solve_matches_single_stage_sweep(self, ex1_direct):
         _, sd = ex1_direct
         tables = inverse._FactorTables(sd, 25, zs.InverseConfig().K)
         grid = zs.UniformGrid(0.25, 21)
         fast = inverse._solve_sweep(tables, grid)
-        monkeypatch.setattr(inverse, "least_squares_solve", _reference_lsq)
-        ref = inverse._solve_sweep(tables, grid)
-        assert np.max(np.abs(fast.X - ref.X)) <= 1e-12
-        assert fast.conditions.max() == pytest.approx(ref.conditions.max(), rel=5e-4)
+        ref = [_reference_lsq(*_reference_assemble(tables, float(x))) for x in grid.nodes]
+        X_ref = np.array([sol for sol, _, _ in ref])
+        assert np.max(np.abs(fast.X - X_ref)) <= 1e-12
+        assert fast.conditions.max() == pytest.approx(max(c for _, _, c in ref), rel=5e-4)
 
+    def test_complex_form_matches_real_two_stage_solves(self, ex1_direct):
+        # the benchmark's ex1 sweep: every node is well conditioned, so the
+        # complex and the real two-stage solves agree to rounding
+        _, sd = ex1_direct
+        grid = zs.UniformGrid(0.25, 21)
+        fast = inverse._solve_sweep(inverse._FactorTables(sd, 25, 1000), grid)
+        X_ref, res_ref, cond_ref = _real_sweep(sd, 25, 1000, grid)
+        assert not fast.fell_back.any() and cond_ref.max() < 1e3
+        scale = np.max(np.abs(X_ref), axis=1)
+        assert np.all(np.max(np.abs(fast.X - X_ref), axis=1) <= 1e-12 * scale)
+        # the condition estimates are pivot ratios of two different pivoted
+        # QRs; their maxima agree as TestSweepKernel pins them, each node's
+        # to a fraction of a percent
+        assert fast.conditions.max() == pytest.approx(cond_ref.max(), rel=5e-4)
+        np.testing.assert_allclose(fast.conditions, cond_ref, rtol=1e-2)
+        np.testing.assert_allclose(fast.residuals, res_ref, rtol=1e-6)
+        for j, x in enumerate(grid.nodes):
+            _, B = _reference_assemble(inverse._FactorTables(sd, 25, 1000), float(x))
+            assert fast.rhs_norms[j] == pytest.approx(np.linalg.norm(B), rel=1e-14)
+
+    def test_fallback_nodes_are_the_real_solves(self, ex1_direct):
+        # N = 90 on ex1 is past the two-stage guard at x = +-4.8 (condition
+        # above 1e9); there the sweep solves the real split, bit for bit
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(N=90, K=400, x_half_width=4.8, x_points=5)
+        _, coeffs, info = zs.solve_inverse(sd, cfg)
+        fell_back = coeffs.fell_back
+        assert info["sweep_fallbacks"] == np.count_nonzero(fell_back) > 0
+        X_ref, res_ref, cond_ref = _real_sweep(sd, 90, 400, cfg.x_grid())
+        assert np.array_equal(coeffs.X[fell_back], X_ref[fell_back])
+        assert np.array_equal(coeffs.residuals[fell_back], res_ref[fell_back])
+        assert np.array_equal(coeffs.conditions[fell_back], cond_ref[fell_back])
+        assert np.all(cond_ref[fell_back] > 1e9)
+
+    def test_no_fallbacks_on_the_benchmark_sweep(self, ex1_direct):
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(N=25, x_half_width=0.25, x_points=101)
+        _, coeffs, info = zs.solve_inverse(sd, cfg)
+        assert info["sweep_fallbacks"] == 0
+        assert not coeffs.fell_back.any()
 
     def test_solve_does_not_depend_on_the_layout_of_a(self, ex1_direct):
         # past the two-stage guard, a column-major A or a gather of the
         # columns from a larger table gives the bits of the row-major system
         _, sd = ex1_direct
         x = 4.8
-        A_top, B = inverse._FactorTables(sd, 90, 400).assemble(x)
+        A_top, B = inverse._FactorTables(sd, 90, 400).assemble_real(x)
         A_top, B = A_top.copy(), B.copy()
         for N in (80, 90):
-            A, _ = inverse._FactorTables(sd, N, 400).assemble(x)
+            A, _ = inverse._FactorTables(sd, N, 400).assemble_real(x)
             cols = (np.arange(4)[:, None] * 91 + np.arange(N + 1)).ravel()
             x_ref, res_ref, cond_ref = zs.least_squares_solve(A, B, on_deficient="truncate")
             assert cond_ref > 1e9

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import zsscatter as zs
-from zsscatter import basis as basis_module, direct as direct_module
+from zsscatter import basis as basis_module, direct as direct_module, numerics
 from zsscatter.coeffs import DEFAULT_N_MAX
 from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
 from zsscatter.jost import JostFactors, z_of_rho
@@ -460,8 +460,9 @@ class TestPolynomialRoots:
 
 def _reference_lsq(A, b, rank_tol=1e-12, on_deficient="raise"):
     """Single-stage reference: column-pivoted QR of the equilibrated A itself."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    dtype = np.result_type(np.asarray(A).dtype, np.asarray(b).dtype, np.float64)
+    A = np.asarray(A, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     col_scale = np.linalg.norm(A, axis=0)
     col_scale[col_scale == 0.0] = 1.0
     A_s = A / col_scale
@@ -472,11 +473,11 @@ def _reference_lsq(A, b, rank_tol=1e-12, on_deficient="raise"):
     if rank < A.shape[1]:
         if on_deficient == "raise" or rank == 0:
             raise RankDeficient("triangular factor has a near-zero diagonal entry")
-        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ b)
-        x = np.zeros(A.shape[1])
+        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T.conj() @ b)
+        x = np.zeros(A.shape[1], dtype)
         x[perm[:rank]] = y
     else:
-        y = scipy.linalg.solve_triangular(R, Q.T @ b)
+        y = scipy.linalg.solve_triangular(R, Q.T.conj() @ b)
         x = np.empty_like(y)
         x[perm] = y
     x /= col_scale
@@ -493,18 +494,23 @@ def _reference_stage_two(factor, n, rank_tol=1e-12):
     diag = np.abs(np.diagonal(R))
     if not diag.min() > 1e3 * rank_tol * diag.max():
         return None
-    x = np.empty(n)
-    x[perm] = scipy.linalg.solve_triangular(R, Q.T @ factor[:n, -1])
+    x = np.empty(n, factor.dtype)
+    x[perm] = scipy.linalg.solve_triangular(R, Q.T.conj() @ factor[:n, -1])
     return x, float(diag.max() / diag.min()), R, perm
 
 
-def _spread_system(n, log_ratio, seed, extra_rows=40):
+def _spread_system(n, log_ratio, seed, extra_rows=40, dtype=float):
     """A seeded (n + extra_rows) x n system with singular values 1 .. 10^-log_ratio."""
     rng = np.random.default_rng(seed)
     m = n + extra_rows
-    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return (U * np.logspace(0.0, -log_ratio, n)) @ V.T, rng.standard_normal(m)
+
+    def normal(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    U = np.linalg.qr(normal(m, n))[0]
+    V = np.linalg.qr(normal(n, n))[0]
+    return (U * np.logspace(0.0, -log_ratio, n)) @ V.T.conj(), normal(m)
 
 
 class TestLeastSquares:
@@ -611,17 +617,15 @@ class TestLeastSquares:
         # geqp3 sees the same triangle as in the explicit-Q reference, so R,
         # the pivots, the guard and the condition are the same bits; only
         # applying the reflectors to Q^T b moves x, at rounding level
-        qr = scipy.linalg.qr
+        geqp3 = numerics._pivoted_qr_raw
         raw = []
 
-        def spy(a, *args, **kwargs):
-            out = qr(a, *args, **kwargs)
-            if kwargs.get("mode") == "raw":
-                (h, _), _, perm = out
-                raw.append((np.diagonal(h).copy(), perm.copy()))
-            return out
+        def spy(a):
+            h, tau, perm = geqp3(a)
+            raw.append((np.diagonal(h).copy(), perm.copy()))
+            return h, tau, perm
 
-        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        monkeypatch.setattr(numerics, "_pivoted_qr_raw", spy)
         outcomes = set()
         for n in (1, 2, 3, 8, 31, 64, 127, 200, 250):
             for log_ratio in (0.0, 4.0, 8.0, 9.1, 9.5, 10.0, 10.5):
@@ -662,6 +666,22 @@ class TestLeastSquares:
             assert np.array_equal(x_o, x)
             assert res_o == res
             assert cond_o == cond
+
+    def test_geqp3_call_matches_scipy_qr(self):
+        # stage two calls LAPACK geqp3 itself, with SciPy's workspace query,
+        # so R, tau and the pivots are the bits of scipy.linalg.qr(mode="raw")
+        rng = np.random.default_rng(250)
+        for n in range(1, 251):
+            for dtype in (float, complex) if n % 10 == 1 else (float,):
+                tri = np.triu(rng.standard_normal((n, n)))
+                if dtype is complex:
+                    tri = tri + 1j * np.triu(rng.standard_normal((n, n)))
+                (h_ref, tau_ref), _, perm_ref = scipy.linalg.qr(
+                    tri.copy(), pivoting=True, mode="raw")
+                h, tau, perm = numerics._pivoted_qr_raw(np.asfortranarray(tri))
+                assert np.array_equal(h, h_ref), (n, dtype)
+                assert np.array_equal(tau, tau_ref), (n, dtype)
+                assert np.array_equal(perm, perm_ref), (n, dtype)
 
     def test_stage_one_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):
@@ -705,6 +725,105 @@ class TestLeastSquares:
             b[7] = bad
         with pytest.raises(ValueError):
             least_squares_solve(A, b)
+
+
+class TestComplexLeastSquares:
+    """The same two-stage solve in complex arithmetic (zgeqrt, zgeqp3, zunmqr)."""
+
+    def test_against_lstsq(self):
+        A, b = _spread_system(12, 3.0, seed=21, extra_rows=48, dtype=complex)
+        x, res, cond = least_squares_solve(A, b)
+        x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert x.dtype == complex
+        np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=0.0)
+        assert res == pytest.approx(np.linalg.norm(A @ x_ref - b), rel=1e-12)
+        assert 1.0 <= cond < 1e5
+
+    def test_residual_orthogonality(self):
+        A, b = _spread_system(8, 2.0, seed=22, dtype=complex)
+        x, _, _ = least_squares_solve(A, b)
+        r = A @ x - b
+        assert np.max(np.abs(A.conj().T @ r)) < 1e-12 * np.linalg.norm(b)
+
+    def test_matches_single_stage_reference(self):
+        rng = np.random.default_rng(23)
+        A = (rng.standard_normal((300, 50)) + 1j * rng.standard_normal((300, 50))) \
+            * np.logspace(-6.0, 0.0, 50)
+        b = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        x, res, cond = least_squares_solve(A, b)
+        x_ref, res_ref, cond_ref = _reference_lsq(A, b)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert res == pytest.approx(res_ref, rel=1e-12)
+        assert cond == pytest.approx(cond_ref, rel=1e-2)
+
+    def test_leading_blocks_match_each_leading_system(self):
+        rng = np.random.default_rng(24)
+        A = (rng.standard_normal((150, 20)) + 1j * rng.standard_normal((150, 20))) \
+            * np.logspace(-3.0, 2.0, 20)
+        b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+        factor, col_scale = qr_stage_one(A, b)
+        assert factor.dtype == complex
+        for n in range(1, 21):
+            x, cond = qr_stage_two(factor, n)
+            x_ref, _, cond_ref = least_squares_solve(A[:, :n], b)
+            np.testing.assert_allclose(x / col_scale[:n], x_ref, rtol=1e-12, atol=0.0)
+            # equilibrated columns all have norm 1, so rounding picks among
+            # near-tied pivots and the estimate moves by a few percent
+            assert cond == pytest.approx(cond_ref, rel=5e-2)
+
+    def test_real_system_in_complex_dtype(self):
+        # a real system passed as complex gives the real solution
+        A, b = _spread_system(10, 2.0, seed=25)
+        x, res, _ = least_squares_solve(A.astype(complex), b.astype(complex))
+        x_ref, res_ref, _ = least_squares_solve(A, b)
+        np.testing.assert_allclose(x.real, x_ref, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(x.imag)) <= 1e-14 * np.max(np.abs(x_ref))
+        assert res == pytest.approx(res_ref, rel=1e-10)
+
+    def test_guard_and_fallback(self):
+        # past the two-stage margin, fallback=False leaves the system to the
+        # caller and the default solves it by the single-stage pivoted QR
+        A, b = _spread_system(40, 10.5, seed=26, extra_rows=260, dtype=complex)
+        assert least_squares_solve(A, b, fallback=False) is None
+        x, res, cond = least_squares_solve(A, b)
+        # a complex A is solved in column-major order
+        x_ref, res_ref, cond_ref = _reference_lsq(np.asfortranarray(A), b)
+        assert 1e9 < cond_ref < 1e12
+        assert np.array_equal(x, x_ref)
+        assert res == res_ref and cond == cond_ref
+        # so any layout of it, or a gather of its columns, gives these bits
+        rng = np.random.default_rng(29)
+        wide = rng.standard_normal((300, 70)) + 0j
+        cols = rng.permutation(70)[:40]
+        wide[:, cols] = A
+        for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
+            x_o, res_o, cond_o = least_squares_solve(other, b)
+            assert np.array_equal(x_o, x) and res_o == res and cond_o == cond
+        # below the margin fallback=False changes nothing
+        A, b = _spread_system(40, 6.0, seed=27, dtype=complex)
+        x, res, cond = least_squares_solve(A, b)
+        x2, res2, cond2 = least_squares_solve(A, b, fallback=False)
+        assert np.array_equal(x, x2) and res == res2 and cond == cond2
+
+    def test_rank_deficient_truncates(self):
+        rng = np.random.default_rng(28)
+        A = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        A[:, 4] = (2.0 - 1.0j) * A[:, 1]
+        b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        with pytest.raises(RankDeficient):
+            least_squares_solve(A, b)
+        x, _, _ = least_squares_solve(A, b, on_deficient="truncate")
+        x_ref, _, _ = _reference_lsq(A, b, on_deficient="truncate")
+        assert np.count_nonzero(x == 0.0) == 1
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_input_rejected(self):
+        A = np.ones((5, 2), dtype=complex)
+        A[2, 1] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            qr_stage_one(A, np.ones(5))
+        with pytest.raises(ValueError, match="finite"):
+            least_squares_solve(np.ones((5, 2)), np.full(5, complex(np.inf, 0.0)))
 
 
 class TestDifferentiate:
