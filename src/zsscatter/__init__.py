@@ -1,28 +1,19 @@
-"""Direct and inverse Zakharov-Shabat scattering via mapped-parameter power series."""
+"""Direct and inverse Zakharov-Shabat scattering via mapped-parameter power series.
 
-from .basis import JostBasis, compute_basis
-from .coeffs import (
-    CoefficientSeries,
-    CoefficientTable,
-    TruncationReport,
-    center_series,
-    compute_coefficients,
-    select_truncation_direct,
-    tail_estimate,
-)
+The top level holds what the command line and a typical script need; the
+lower-level pieces live in the submodules (``zsscatter.coeffs``,
+``zsscatter.jost``, ``zsscatter.numerics``, ...).
+"""
+
+from .basis import compute_basis
+from .coeffs import compute_coefficients
 from .direct import (
     Eigenvalue,
     ScatteringData,
-    a_polynomial,
-    find_eigenvalues,
-    norming_constants,
     oracle_scatter,
-    reflection,
-    scattering_coefficients,
     scattering_from_json,
     scattering_to_json,
     solve_direct,
-    transmission,
     validate_scattering,
     write_scattering_csv,
 )
@@ -31,79 +22,33 @@ from .inverse import (
     RecoveredCoefficients,
     RecoveredPotential,
     assemble_system,
-    recover_potential,
-    select_truncation_inverse,
     solve_inverse,
 )
-from .jost import JostPair, SpectralPoint, eval_jost, remainder_bound, rho_of_z, z_of_rho
-from .numerics import (
-    UniformGrid,
-    cumulative_integral_from_left,
-    cumulative_integral_from_right,
-    differentiate,
-    integrate_linear_ode2,
-    least_squares_solve,
-    polynomial_roots,
-)
-from .potentials import (
-    PotentialSpec,
-    SampledPotential,
-    decay_check,
-    evaluate,
-    preset_names,
-    write_potential_csv,
-)
+from .numerics import UniformGrid
+from .potentials import PotentialSpec, SampledPotential, decay_check, evaluate, preset_names
 
 __version__ = "0.1.0"
 
 __all__ = [
     "UniformGrid",
-    "cumulative_integral_from_left",
-    "cumulative_integral_from_right",
-    "integrate_linear_ode2",
-    "polynomial_roots",
-    "least_squares_solve",
-    "differentiate",
     "PotentialSpec",
     "SampledPotential",
     "evaluate",
     "decay_check",
     "preset_names",
-    "write_potential_csv",
-    "JostBasis",
     "compute_basis",
-    "CoefficientSeries",
-    "CoefficientTable",
-    "TruncationReport",
-    "center_series",
     "compute_coefficients",
-    "select_truncation_direct",
-    "tail_estimate",
-    "SpectralPoint",
-    "JostPair",
-    "z_of_rho",
-    "rho_of_z",
-    "eval_jost",
-    "remainder_bound",
-    "Eigenvalue",
-    "ScatteringData",
-    "scattering_coefficients",
-    "a_polynomial",
-    "find_eigenvalues",
-    "norming_constants",
-    "oracle_scatter",
-    "reflection",
-    "transmission",
     "solve_direct",
+    "ScatteringData",
+    "Eigenvalue",
+    "oracle_scatter",
     "validate_scattering",
     "scattering_to_json",
     "scattering_from_json",
     "write_scattering_csv",
     "InverseConfig",
-    "RecoveredCoefficients",
-    "RecoveredPotential",
-    "assemble_system",
-    "select_truncation_inverse",
-    "recover_potential",
     "solve_inverse",
+    "assemble_system",
+    "RecoveredPotential",
+    "RecoveredCoefficients",
 ]

@@ -111,11 +111,10 @@ def _parse_n(text, parser):
 
 
 def _check_direct_args(args, parser):
-    # UniformGrid needs five nodes: x = 0 and the widest difference stencil
-    if not args.half_width > 0:
-        parser.error("--half-width must be positive")
-    if args.grid_points < 5 or args.grid_points % 2 == 0:
-        parser.error("--grid-points must be odd and >= 5")
+    try:
+        args.grid = UniformGrid(args.half_width, args.grid_points)
+    except ValueError as exc:
+        parser.error(f"invalid grid option: {exc}")
     if args.rho_count < 2:
         parser.error("--rho-count must be >= 2")
     args.n_terms = _parse_n(args.n_terms, parser)
@@ -123,8 +122,7 @@ def _check_direct_args(args, parser):
 
 def _direct_stage(args, parser):
     spec = _parse_potential(args, parser)
-    grid = UniformGrid(args.half_width, args.grid_points)
-    p = evaluate(spec, grid)
+    p = evaluate(spec, args.grid)
     for message in decay_check(p):
         print(f"warning: {message}", file=sys.stderr)
     sd = solve_direct(
@@ -133,10 +131,10 @@ def _direct_stage(args, parser):
         rho_count=args.rho_count,
         n_terms=args.n_terms,
     )
-    if sd.meta.get("truncation", {}).get("at_cap"):
+    if sd.truncation is not None and sd.truncation.at_cap:
         print(
-            f"warning: truncation order N = {sd.meta['n_terms']} is the cap "
-            f"N_max = {sd.meta['n_max']}; the series may not have converged",
+            f"warning: truncation order N = {sd.n_terms} is the cap "
+            f"N_max = {sd.series.N_max}; the series may not have converged",
             file=sys.stderr,
         )
     return sd
@@ -186,7 +184,7 @@ def _run_direct(args, parser) -> int:
         fh.write("\n")
     write_scattering_csv(os.path.join(args.output_dir, "scattering.csv"), sd)
     report = validate_scattering(sd)
-    print(f"chosen N: {sd.meta['n_terms']}")
+    print(f"chosen N: {sd.n_terms}")
     print(f"unitarity defect: {report['unitarity_defect']:.3e}")
     print(f"eigenvalues ({sd.M}):")
     for ev in sd.eigenvalues:

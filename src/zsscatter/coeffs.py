@@ -6,8 +6,8 @@ series at x = 0 (``center_series``, all the direct problem needs) depends
 on a window of N_max nodes on either side of x = 0 only: the a-chain runs
 on the nodes from N_max left of x = 0 to +a, the b-chain on the nodes from
 -a to N_max right of x = 0.  ``compute_coefficients`` runs both chains on
-the whole grid and stacks every order into the full x-table for
-diagnostics and tests.
+the whole grid and stacks every order into the full x-table, which the
+tests use to check the series away from x = 0.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "center_series",
     "compute_coefficients",
     "select_truncation_direct",
-    "tail_estimate",
 ]
 
 DEFAULT_N_MAX = 250
@@ -73,6 +72,12 @@ class TruncationReport:
     @property
     def chosen_N(self) -> int:
         return max(self.N_L, self.N_R)
+
+    @property
+    def at_cap(self) -> bool:
+        """Whether chosen_N is the highest order computed: the sum rules had
+        not settled below it."""
+        return self.chosen_N == self.eps_L.size - 1
 
 
 def _recurrence(
@@ -209,8 +214,8 @@ def compute_coefficients(
 
     Needs a whole-grid basis (``compute_basis`` without ``reach``), else
     ValueError.  The table takes (N_max + 1) x n_points complex numbers for
-    each of a and b; it serves diagnostics away from x = 0 (``eval_jost``,
-    ``tail_estimate``).  The finiteness check covers the whole grid.
+    each of a and b; it serves checks of the series away from x = 0
+    (``jost.eval_jost``).  The finiteness check covers the whole grid.
     """
     rows = _recurrence(basis, p, N_max, p.grid.center_index)
     a = np.empty((N_max + 1, p.grid.n_points), dtype=complex)
@@ -245,12 +250,3 @@ def select_truncation_direct(
         eps_L=eps_L,
         eps_R=eps_R,
     )
-
-
-def tail_estimate(table: CoefficientTable, N: int, x_index: int) -> float:
-    """Truncated Parseval tail (sum_{n>N} |b_n(x)|^2)^(1/2) at one node."""
-    if not 0 <= N <= table.N_max:
-        raise ValueError("N out of range")
-    tail = table.b[N + 1 :, x_index]
-    return float(np.sqrt(np.sum(np.abs(tail) ** 2)))
-

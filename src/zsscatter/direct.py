@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .basis import compute_basis
 from .coeffs import (
     DEFAULT_N_MAX,
     CoefficientSeries,
+    TruncationReport,
     center_series,
     select_truncation_direct,
 )
@@ -60,8 +61,12 @@ class Eigenvalue:
 class ScatteringData:
     """Scattering data on a real rho grid, with eigenvalues and norming constants.
 
-    ``series`` holds a_n(0), b_n(0) for n = 0..N_max when the data come from
-    ``solve_direct``; it is not serialized and is None for data read from JSON.
+    ``n_terms`` is the truncation order the data were computed with and
+    ``potential_desc`` describes the potential; both are serialized.
+    ``truncation`` is the sum-rule report when ``solve_direct`` picked the
+    order itself, and ``series`` holds a_n(0), b_n(0) for n = 0..N_max when
+    the data come from ``solve_direct``; neither is serialized, so both are
+    None for data read from JSON.
     """
 
     rho_grid: np.ndarray
@@ -69,7 +74,9 @@ class ScatteringData:
     b_values: np.ndarray
     eigenvalues: tuple[Eigenvalue, ...]
     norming_constants: np.ndarray
-    meta: dict = field(default_factory=dict)
+    n_terms: int = 0
+    potential_desc: str = ""
+    truncation: TruncationReport | None = None
     series: CoefficientSeries | None = None
 
     @property
@@ -262,9 +269,9 @@ def solve_direct(
 
     The basis is computed only N_max nodes past x = 0 on each side, and the
     coefficient recurrence keeps only a_n(0), b_n(0) (``center_series``);
-    they are returned in ``ScatteringData.series``.  The full x-table of a
-    diagnostic is built apart with ``compute_coefficients`` on a whole-grid
-    basis.
+    they are returned in ``ScatteringData.series``, the order used in
+    ``n_terms`` and, when the sum rules picked it, their report in
+    ``truncation`` (``truncation.at_cap`` flags an order at N_max).
 
     ``N_max`` must be an integer >= 0 and ``n_terms`` None (pick N from the
     sum rules) or an integer 0 <= n_terms <= N_max, each of any
@@ -280,38 +287,25 @@ def solve_direct(
     basis = compute_basis(p, reach=N_max)
     series = center_series(basis, p, N_max)
     if n_terms is None:
-        report = select_truncation_direct(series, p)
-        N = report.chosen_N
+        truncation = select_truncation_direct(series, p)
+        N = truncation.chosen_N
     else:
-        report = None
+        truncation = None
         N = int(n_terms)
     rho_grid = np.linspace(-rho_max, rho_max, rho_count)
     a_vals, b_vals = scattering_coefficients(series, N, rho_grid)
     poly = a_polynomial(series, N)
     eigenvalues = find_eigenvalues(poly, series, N)
     norming = norming_constants(series, N, eigenvalues)
-    meta = {
-        "n_terms": N,
-        "n_max": N_max,
-        "grid_points": p.grid.n_points,
-        "half_width": p.grid.half_width,
-        "potential_desc": p.description,
-        "root_filters": {
-            "disk_margin": DISK_MARGIN,
-            "residual_tol": RESIDUAL_TOL,
-            "stability_tol": STABILITY_TOL,
-        },
-    }
-    if report is not None:
-        # an argmin at the cap means the sum rules had not settled
-        meta["truncation"] = {"N_L": report.N_L, "N_R": report.N_R, "at_cap": N == N_max}
     return ScatteringData(
         rho_grid=rho_grid,
         a_values=a_vals,
         b_values=b_vals,
         eigenvalues=eigenvalues,
         norming_constants=norming,
-        meta=meta,
+        n_terms=N,
+        potential_desc=p.description,
+        truncation=truncation,
         series=series,
     )
 
@@ -364,14 +358,18 @@ def scattering_to_json(sd: ScatteringData) -> str:
         "norming": [
             {"re": float(c.real), "im": float(c.imag)} for c in sd.norming_constants
         ],
-        "n_terms": int(sd.meta.get("n_terms", 0)),
-        "potential_desc": str(sd.meta.get("potential_desc", "")),
+        "n_terms": int(sd.n_terms),
+        "potential_desc": sd.potential_desc,
     }
     return json.dumps(payload, indent=2)
 
 
 def scattering_from_json(text: str) -> ScatteringData:
-    """Parse scattering JSON; malformed or inconsistent input raises InvalidScatteringData."""
+    """Parse scattering JSON; malformed or inconsistent input raises InvalidScatteringData.
+
+    ``n_terms`` must be an integer >= 0 (not a bool) and ``potential_desc``
+    a string; absent, they read as 0 and "".
+    """
     try:
         payload = json.loads(text)
         rho, a_re, a_im, b_re, b_im = (
@@ -403,20 +401,25 @@ def scattering_from_json(text: str) -> ScatteringData:
         raise InvalidScatteringData(
             f"{norming.size} norming constants for {ev_rho.size} eigenvalues"
         )
+    n_terms = payload.get("n_terms", 0)
+    if not _is_order(n_terms):
+        raise InvalidScatteringData(f"n_terms must be an integer >= 0, got {n_terms!r}")
+    potential_desc = payload.get("potential_desc", "")
+    if not isinstance(potential_desc, str):
+        raise InvalidScatteringData(
+            f"potential_desc must be a string, got {type(potential_desc).__name__}"
+        )
     eigenvalues = tuple(
         Eigenvalue(rho=r, z=z_of_rho(r), residual=0.0) for r in ev_rho.tolist()
     )
-    meta = {
-        "n_terms": payload.get("n_terms", 0),
-        "potential_desc": payload.get("potential_desc", ""),
-    }
     return ScatteringData(
         rho_grid=rho,
         a_values=a_re + 1j * a_im,
         b_values=b_re + 1j * b_im,
         eigenvalues=eigenvalues,
         norming_constants=norming,
-        meta=meta,
+        n_terms=n_terms,
+        potential_desc=potential_desc,
     )
 
 

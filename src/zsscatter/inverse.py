@@ -133,7 +133,6 @@ def _wronskian_curve(re_b0, im_b0, re_a0, im_a0) -> np.ndarray:
 @dataclass(frozen=True)
 class RecoveredPotential:
     x_grid: UniformGrid
-    q_from_b0: np.ndarray
     q_from_a0: np.ndarray
     chosen: np.ndarray
     discrepancy: float
@@ -456,7 +455,6 @@ def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
     discrepancy = float(np.max(np.abs(q_b[inner] - q_a[inner])))
     return RecoveredPotential(
         x_grid=grid,
-        q_from_b0=q_b,
         q_from_a0=q_a,
         chosen=q_b,
         discrepancy=discrepancy,

@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSeries, CoefficientTable, tail_estimate
+from .coeffs import CoefficientSeries, CoefficientTable
 from .errors import PoleAtMinusOne
 from .numerics import horner
 
 __all__ = [
-    "SpectralPoint",
     "JostPair",
     "z_of_rho",
     "rho_of_z",
     "JostFactors",
     "eval_jost",
-    "remainder_bound",
 ]
 
 
@@ -32,16 +29,6 @@ def rho_of_z(z: complex) -> complex:
     if z == -1:
         raise PoleAtMinusOne("z = -1 corresponds to rho at infinity")
     return 1j * (1.0 - z) / (2.0 * (1.0 + z))
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    rho: complex
-    z: complex
-
-    @classmethod
-    def from_rho(cls, rho: complex) -> "SpectralPoint":
-        return cls(rho=complex(rho), z=z_of_rho(complex(rho)))
 
 
 @dataclass(frozen=True)
@@ -119,30 +106,18 @@ def _one_plus_zp1_times(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_jost(
-    sp: SpectralPoint, x_index: int, table: CoefficientTable, N: int
-) -> JostPair:
+def eval_jost(rho: complex, x_index: int, table: CoefficientTable, N: int) -> JostPair:
     """Truncated series values of both Jost solutions at one (rho, x)."""
-    Pb, Sb, Pa, Sa = JostFactors.from_series(table.series_at(x_index), N).evaluate(sp.z)
+    rho = complex(rho)
+    z = z_of_rho(rho)
+    Pb, Sb, Pa, Sa = JostFactors.from_series(table.series_at(x_index), N).evaluate(z)
     x = table.grid.nodes[x_index]
-    em = np.exp(-1j * sp.rho * x)
-    ep = np.exp(1j * sp.rho * x)
-    zp1 = sp.z + 1.0
+    em = np.exp(-1j * rho * x)
+    ep = np.exp(1j * rho * x)
+    zp1 = z + 1.0
     return JostPair(
         phi1=complex(em * Pb),
         phi2=complex(em * zp1 * Sb),
         psi1=complex(-ep * zp1 * Sa),
         psi2=complex(ep * Pa),
     )
-
-
-def remainder_bound(
-    sp: SpectralPoint, x_index: int, table: CoefficientTable, N: int
-) -> float:
-    """Truncation error bar eps_N(x) e^{-Im rho x} / sqrt(2 Im rho), Im rho > 0."""
-    im = sp.rho.imag
-    if im <= 0:
-        raise ValueError("remainder bound requires Im rho > 0")
-    eps = tail_estimate(table, N, x_index)
-    x = table.grid.nodes[x_index]
-    return eps * math.exp(-im * x) / math.sqrt(2.0 * im)

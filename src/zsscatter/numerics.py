@@ -294,7 +294,10 @@ def polynomial_roots(coeffs) -> np.ndarray:
     return roots
 
 
-# Pivot ratio the two-stage solve must clear, in units of rank_tol.  Closer
+# Smallest pivot, relative to the largest, of a numerically full-rank
+# (equilibrated) system.
+_RANK_TOL = 1e-12
+# Pivot ratio the two-stage solve must clear, in units of _RANK_TOL.  Closer
 # to the rank edge, rounding in the unpivoted first stage could flip the rank
 # decision, so such systems go to the single-stage pivoted QR.
 _TWO_STAGE_MARGIN = 1e3
@@ -305,7 +308,6 @@ _QR_BLOCK = 32
 def least_squares_solve(
     A: np.ndarray,
     b: np.ndarray,
-    rank_tol: float = 1e-12,
     on_deficient: str = "raise",
     fallback: bool = True,
 ) -> tuple[np.ndarray, float, float] | None:
@@ -321,8 +323,8 @@ def least_squares_solve(
     are those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS
     8, 1982); its reflectors are applied to Q^H b in factored form, so
     neither stage forms its Q.  The two-stage result is kept only when the
-    smallest pivot exceeds ``1e3 * rank_tol`` times the largest (condition
-    below 1e9 at the default); otherwise the system is solved by one
+    smallest pivot exceeds ``1e3 * _RANK_TOL`` = 1e-9 times the largest
+    (condition below 1e9); otherwise the system is solved by one
     column-pivoted QR of A (a real one bit for bit as before the two-stage
     solve), or, with ``fallback=False``, None is returned and the caller
     solves it by other means.  Any layout
@@ -333,7 +335,7 @@ def least_squares_solve(
     Returns (x, residual_norm, condition_estimate), the condition estimate
     being the ratio of extreme diagonal magnitudes of the pivoted triangular
     factor over the retained columns.  When a diagonal entry drops below
-    ``rank_tol`` relative to the largest one the matrix is numerically rank
+    ``_RANK_TOL`` relative to the largest one the matrix is numerically rank
     deficient: with ``on_deficient="raise"`` that is an error, with
     ``"truncate"`` the deficient pivot columns are dropped and their
     solution entries set to zero (a basic solution, matching what pivoted
@@ -350,11 +352,11 @@ def least_squares_solve(
         A = np.ascontiguousarray(A, dtype=dtype)
     b = np.asarray(b, dtype=dtype)
     factor, col_scale = qr_stage_one(A, b)
-    solved = qr_stage_two(factor, A.shape[1], rank_tol)
+    solved = qr_stage_two(factor, A.shape[1])
     if solved is None:
         if not fallback:
             return None
-        solved = _pivoted_qr_solve(A / col_scale, b, rank_tol, on_deficient)
+        solved = _pivoted_qr_solve(A / col_scale, b, on_deficient)
     x, cond = solved
     x /= col_scale
     if dtype.kind == "c":
@@ -431,7 +433,7 @@ def _pivoted_qr_raw(a: np.ndarray):
     return h, tau, jpvt
 
 
-def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
+def qr_stage_two(factor: np.ndarray, n: int):
     """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
 
     A column-pivoted QR (LAPACK geqp3, see ``_pivoted_qr_raw``) of the
@@ -442,14 +444,14 @@ def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
 
     Returns (x, cond) of the equilibrated system (divide x by the leading
     n entries of ``col_scale`` for the solution of A x = b), or None when
-    the smallest pivot of the triangle does not exceed ``1e3 * rank_tol``
+    the smallest pivot of the triangle does not exceed ``1e3 * _RANK_TOL``
     times the largest, where the caller must solve by other means.
     """
     # the transpose of a lower triangle is a column-major upper one, which
     # geqp3 overwrites in place instead of copying
     h, tau, perm = _pivoted_qr_raw(np.tril(factor[:n, :n].T).T)
     diag = np.abs(np.diagonal(h))
-    if not diag.min() > _TWO_STAGE_MARGIN * rank_tol * diag.max():
+    if not diag.min() > _TWO_STAGE_MARGIN * _RANK_TOL * diag.max():
         return None
     # lwork = 1 selects the unblocked reflector loop, the cheap one for one column
     if h.dtype.kind == "c":
@@ -465,12 +467,12 @@ def qr_stage_two(factor: np.ndarray, n: int, rank_tol: float = 1e-12):
     return x, float(diag.max() / diag.min())
 
 
-def _pivoted_qr_solve(A_s, b, rank_tol, on_deficient):
+def _pivoted_qr_solve(A_s, b, on_deficient):
     """(x, cond) from one column-pivoted QR of the equilibrated A_s."""
     Q, R, perm = scipy.linalg.qr(A_s, mode="economic", pivoting=True)
     diag = np.abs(np.diagonal(R))
     dmax = diag.max()
-    rank = int(np.count_nonzero(diag >= rank_tol * dmax)) if dmax > 0 else 0
+    rank = int(np.count_nonzero(diag >= _RANK_TOL * dmax)) if dmax > 0 else 0
     if rank < A_s.shape[1]:
         if on_deficient == "raise" or rank == 0:
             raise RankDeficient("triangular factor has a near-zero diagonal entry")

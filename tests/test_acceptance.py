@@ -155,7 +155,7 @@ def test_criterion5_oracle_agreement(ex1_direct):
 def test_criterion5_sum_rules_at_chosen_n(ex1_direct):
     p, sd = ex1_direct
     series = sd.series
-    N = sd.meta["n_terms"]
+    N = sd.n_terms
     g = p.grid
     c = g.center_index
     half_right = cumulative_integral_from_right(g, p.q1)[c] / 2.0

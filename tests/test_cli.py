@@ -211,6 +211,11 @@ def _scattering_text(drop=None, **changes):
     pytest.param(_scattering_text(eigenvalues=[{"re": 0.0, "im": -0.5}]),
                  id="eigenvalue-not-in-upper-half-plane"),
     pytest.param(_scattering_text(norming=[]), id="norming-count"),
+    *[pytest.param(_scattering_text(n_terms=v), id=f"n_terms-{kind}")
+      for kind, v in [("string", "abc"), ("list", [1]), ("fraction", 3.7), ("float", 3.0),
+                      ("bool", True), ("negative", -4), ("null", None)]],
+    *[pytest.param(_scattering_text(potential_desc=v), id=f"potential_desc-{kind}")
+      for kind, v in [("object", {"preset": "zero"}), ("number", 7), ("null", None)]],
 ])
 def test_invalid_scattering_json_exits_2(tmp_path, capsys, text):
     path = tmp_path / "scattering.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zsscatter as zs
+from zsscatter.coeffs import center_series, select_truncation_direct
 from zsscatter.errors import NonFiniteValue
 from zsscatter.numerics import cumulative_integral_from_left, cumulative_integral_from_right
 
@@ -24,9 +25,8 @@ def test_zero_potential_annihilation():
     table = zs.compute_coefficients(zs.compute_basis(p), p, 20)
     assert np.max(np.abs(table.a)) < 1e-10
     assert np.max(np.abs(table.b)) < 1e-10
-    report = zs.select_truncation_direct(table.center, p)
+    report = select_truncation_direct(table.center, p)
     assert report.chosen_N == 0
-    assert zs.tail_estimate(table, 5, table.grid.center_index) < 1e-10
 
 
 def test_sum_rule_at_center(ex1_table):
@@ -35,7 +35,7 @@ def test_sum_rule_at_center(ex1_table):
     c = g.center_index
     half_right = cumulative_integral_from_right(g, p.q1)[c] / 2.0
     half_left = cumulative_integral_from_left(g, p.q1)[c] / 2.0
-    report = zs.select_truncation_direct(table.center, p)
+    report = select_truncation_direct(table.center, p)
     N = report.chosen_N
     gap_a = abs(np.sum(table.a[: N + 1, c]) - half_right)
     gap_b = abs(np.sum(table.b[: N + 1, c]) - half_left)
@@ -91,17 +91,9 @@ def test_parseval_partial_sums_settle(ex1_table):
     assert partial[-1] - partial[-10] < 1e-8
 
 
-def test_tail_estimate_decreases(ex1_table):
-    _, table = ex1_table
-    c = table.grid.center_index
-    tails = [zs.tail_estimate(table, N, c) for N in (10, 20, 40, 60)]
-    assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
-    assert zs.tail_estimate(table, table.N_max, c) == 0.0
-
-
 def test_example4_truncation_choice(ex4_direct):
     _, sd = ex4_direct
-    assert 37 <= sd.meta["n_terms"] <= 57
+    assert 37 <= sd.n_terms <= 57
 
 
 def _reference_table(basis, p, N_max):
@@ -142,12 +134,12 @@ def test_table_matches_expression_reference(ex1_table):
 
 def test_center_series_is_the_table_column(ex1_table):
     p, table = ex1_table
-    series = zs.center_series(zs.compute_basis(p), p, table.N_max)
+    series = center_series(zs.compute_basis(p), p, table.N_max)
     assert np.array_equal(series.a, table.center.a)
     assert np.array_equal(series.b, table.center.b)
     zero = zs.evaluate(zs.PotentialSpec(preset="zero", params={}), zs.UniformGrid(10.0, 1001))
     basis = zs.compute_basis(zero)
-    series = zs.center_series(basis, zero, 20)
+    series = center_series(basis, zero, 20)
     table = zs.compute_coefficients(basis, zero, 20)
     assert series.N_max == 20
     assert np.array_equal(series.a, table.center.a)
@@ -193,7 +185,7 @@ def test_windowed_series_is_the_table_column(small_case):
     c = p.grid.center_index
     # c - 1 and beyond clip the windows to the grid
     for N_max in (0, 1, c - 2, c - 1, c, c + 1, 250):
-        series = zs.center_series(zs.compute_basis(p, reach=N_max), p, N_max)
+        series = center_series(zs.compute_basis(p, reach=N_max), p, N_max)
         assert np.array_equal(series.a, table.a[: N_max + 1, c]), N_max
         assert np.array_equal(series.b, table.b[: N_max + 1, c]), N_max
 
@@ -204,7 +196,7 @@ def test_series_ignores_nodes_outside_the_windows(small_case):
     for N_max in (0, 1, 5, c - 1):
         poisoned = _scaled_at(basis, _A_SIDE, slice(0, c - N_max), np.nan)
         poisoned = _scaled_at(poisoned, _B_SIDE, slice(c + N_max + 1, None), np.nan)
-        series = zs.center_series(poisoned, p, N_max)
+        series = center_series(poisoned, p, N_max)
         assert np.array_equal(series.a, table.a[: N_max + 1, c]), N_max
         assert np.array_equal(series.b, table.b[: N_max + 1, c]), N_max
 
@@ -217,9 +209,9 @@ def test_window_bound_is_tight():
     basis = zs.compute_basis(p)
     c = p.grid.center_index
     for N in (1, 2, 3):
-        ref = zs.center_series(basis, p, N)
-        a_side = zs.center_series(_scaled_at(basis, _A_SIDE, c - N, 2.0), p, N)
-        b_side = zs.center_series(_scaled_at(basis, _B_SIDE, c + N, 2.0), p, N)
+        ref = center_series(basis, p, N)
+        a_side = center_series(_scaled_at(basis, _A_SIDE, c - N, 2.0), p, N)
+        b_side = center_series(_scaled_at(basis, _B_SIDE, c + N, 2.0), p, N)
         assert np.array_equal(a_side.a[:N], ref.a[:N]) and a_side.a[N] != ref.a[N], N
         assert np.array_equal(b_side.b[:N], ref.b[:N]) and b_side.b[N] != ref.b[N], N
         assert np.array_equal(a_side.b, ref.b) and np.array_equal(b_side.a, ref.a), N
@@ -228,7 +220,7 @@ def test_window_bound_is_tight():
 def test_short_reach_is_rejected(small_case):
     p, _, _ = small_case
     with pytest.raises(ValueError, match="reaches 9 nodes"):
-        zs.center_series(zs.compute_basis(p, reach=9), p, 10)
+        center_series(zs.compute_basis(p, reach=9), p, 10)
     with pytest.raises(ValueError, match="reaches 10 nodes"):
         zs.compute_coefficients(zs.compute_basis(p, reach=10), p, 5)
     # a reach past the centre index is the whole grid

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
-from zsscatter.coeffs import DEFAULT_N_MAX
+from zsscatter.coeffs import DEFAULT_N_MAX, CoefficientTable, center_series
 from zsscatter.direct import (
     DISK_MARGIN,
     RESIDUAL_TOL,
     STABILITY_TOL,
     Eigenvalue,
     ScatteringData,
+    a_polynomial,
+    find_eigenvalues,
+    reflection,
+    transmission,
 )
 from zsscatter.errors import DegreeZero, DivisionNearZero, UnstableSpectrum
-from zsscatter.jost import JostFactors
+from zsscatter.jost import JostFactors, rho_of_z, z_of_rho
 from zsscatter.numerics import horner, polynomial_roots
 
 
@@ -30,8 +34,8 @@ def test_zero_potential_scattering(zero_direct):
 
 def test_zero_potential_a_polynomial(zero_direct):
     p, _ = zero_direct
-    series = zs.center_series(zs.compute_basis(p), p, 10)
-    poly = zs.a_polynomial(series, 10)
+    series = center_series(zs.compute_basis(p), p, 10)
+    poly = a_polynomial(series, 10)
     assert abs(poly[0] - 1.0) < 1e-12
     assert np.max(np.abs(poly[1:])) < 1e-10
 
@@ -45,12 +49,12 @@ def _a_from_factors(factors, z):
 def test_polynomial_matches_series(ex1_direct):
     _, sd = ex1_direct
     series = sd.series
-    N = sd.meta["n_terms"]
-    poly = zs.a_polynomial(series, N)
+    N = sd.n_terms
+    poly = a_polynomial(series, N)
     factors = JostFactors.from_series(series, N)
     rng = np.random.default_rng(3)
     for rho in rng.uniform(-20.0, 20.0, size=50):
-        z = zs.z_of_rho(complex(rho))
+        z = z_of_rho(complex(rho))
         direct = _a_from_factors(factors, z)
         horner = 0.0j
         for c in poly[::-1]:
@@ -60,13 +64,13 @@ def test_polynomial_matches_series(ex1_direct):
 
 def test_a_parity_off_axis(ex1_direct):
     _, sd = ex1_direct
-    N = sd.meta["n_terms"]
+    N = sd.n_terms
     factors = JostFactors.from_series(sd.series, N)
     rng = np.random.default_rng(5)
     for _ in range(50):
         rho = complex(rng.uniform(-3, 3), rng.uniform(0.01, 2.0))
-        a_plus = _a_from_factors(factors, zs.z_of_rho(rho))
-        a_minus = _a_from_factors(factors, zs.z_of_rho(-np.conj(rho)))
+        a_plus = _a_from_factors(factors, z_of_rho(rho))
+        a_minus = _a_from_factors(factors, z_of_rho(-np.conj(rho)))
         assert abs(a_minus - np.conj(a_plus)) < 1e-10
 
 
@@ -136,8 +140,8 @@ def test_oracle_agreement_example3(ex3_direct):
 
 def test_reflection_transmission(ex3_direct):
     _, sd = ex3_direct
-    R = zs.reflection(sd)
-    T = zs.transmission(sd)
+    R = reflection(sd)
+    T = transmission(sd)
     assert np.allclose(R * sd.a_values, sd.b_values)
     assert np.allclose(T * sd.a_values, 1.0)
 
@@ -149,10 +153,9 @@ def test_reflection_near_zero_a():
         b_values=np.array([1.0 + 0j]),
         eigenvalues=(),
         norming_constants=np.zeros(0, dtype=complex),
-        meta={},
     )
     with pytest.raises(DivisionNearZero):
-        zs.reflection(sd)
+        reflection(sd)
 
 
 def test_json_roundtrip(ex1_direct):
@@ -164,8 +167,19 @@ def test_json_roundtrip(ex1_direct):
     assert np.array_equal(sd2.b_values, sd.b_values)
     assert sd2.M == sd.M
     assert np.array_equal(sd2.norming_constants, sd.norming_constants)
+    assert sd2.n_terms == sd.n_terms > 0
+    assert sd2.potential_desc == sd.potential_desc != ""
     # deterministic: serializing the parsed copy is byte-identical
     assert zs.scattering_to_json(sd2) == text
+
+
+def test_json_without_n_terms_and_description(zero_direct):
+    payload = json.loads(zs.scattering_to_json(zero_direct[1]))
+    del payload["n_terms"], payload["potential_desc"]
+    sd = zs.scattering_from_json(json.dumps(payload))
+    assert (sd.n_terms, sd.potential_desc) == (0, "")
+    written = json.loads(zs.scattering_to_json(sd))
+    assert (written["n_terms"], written["potential_desc"]) == (0, "")
 
 
 def _per_element_json(sd):
@@ -182,8 +196,8 @@ def _per_element_json(sd):
         "norming": [
             {"re": float(c.real), "im": float(c.imag)} for c in sd.norming_constants
         ],
-        "n_terms": int(sd.meta.get("n_terms", 0)),
-        "potential_desc": str(sd.meta.get("potential_desc", "")),
+        "n_terms": int(sd.n_terms),
+        "potential_desc": str(sd.potential_desc),
     }
     return json.dumps(payload, indent=2)
 
@@ -198,7 +212,7 @@ def test_json_text_matches_per_element_writer(fixture, request):
         [-0.0, 0.0, 3.0, -1e-320, 7.0, -0.2, 0.0])
     odd = ScatteringData(rho_grid=rho, a_values=a, b_values=a[::-1].copy(),
                          eigenvalues=sd.eigenvalues, norming_constants=sd.norming_constants,
-                         meta=dict(sd.meta))
+                         n_terms=sd.n_terms, potential_desc=sd.potential_desc)
     assert zs.scattering_to_json(odd) == _per_element_json(odd)
     copy = zs.scattering_from_json(zs.scattering_to_json(sd))
     assert zs.scattering_to_json(copy) == _per_element_json(copy)
@@ -206,9 +220,10 @@ def test_json_text_matches_per_element_writer(fixture, request):
 
 def test_series_is_kept_but_not_serialized(ex1_direct):
     _, sd = ex1_direct
-    assert sd.series.N_max == sd.meta["n_max"]
-    assert sd.series.a.shape == sd.series.b.shape == (sd.meta["n_max"] + 1,)
-    assert zs.scattering_from_json(zs.scattering_to_json(sd)).series is None
+    assert sd.series.N_max == DEFAULT_N_MAX
+    assert sd.series.a.shape == sd.series.b.shape == (DEFAULT_N_MAX + 1,)
+    copy = zs.scattering_from_json(zs.scattering_to_json(sd))
+    assert copy.series is None and copy.truncation is None
 
 
 def test_direct_solve_keeps_no_coefficient_table():
@@ -247,7 +262,7 @@ def test_integer_orders_accepted(n_terms):
     p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": 1.0}),
                     zs.UniformGrid(8.0, 801))
     sd = zs.solve_direct(p, rho_count=50, n_terms=n_terms)
-    assert sd.meta["n_terms"] == n_terms
+    assert sd.n_terms == n_terms
 
 
 def test_json_field_order(ex4_direct):
@@ -271,9 +286,9 @@ def test_truncation_at_cap_is_recorded(ex1_direct):
     p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": 1.5}),
                     zs.UniformGrid(8.0, 801))
     sd = zs.solve_direct(p, rho_count=200, N_max=10)
-    assert sd.meta["n_terms"] == 10
-    assert sd.meta["truncation"]["at_cap"] is True
-    assert ex1_direct[1].meta["truncation"]["at_cap"] is False
+    assert sd.n_terms == 10
+    assert sd.truncation.at_cap is True
+    assert ex1_direct[1].truncation.at_cap is False
 
 
 def _two_solve_eigenvalues(poly, series, N, delta=DISK_MARGIN):
@@ -292,11 +307,11 @@ def _two_solve_eigenvalues(poly, series, N, delta=DISK_MARGIN):
         return roots[np.abs(roots) < 1.0 - delta]
 
     candidates = in_disk_roots(poly)
-    ref_roots = in_disk_roots(zs.a_polynomial(series, N - 5))
+    ref_roots = in_disk_roots(a_polynomial(series, N - 5))
     scale = float(np.max(np.abs(poly)))
     kept, rejected, n_upper = [], 0, 0
     for z in candidates:
-        rho = zs.rho_of_z(z)
+        rho = rho_of_z(z)
         if rho.imag <= 0:
             continue
         n_upper += 1
@@ -328,18 +343,18 @@ PERSISTENCE_CASES = {
 def test_persistence_filter_matches_two_solve_reference(name):
     spec, grid, unstable, one_rejected = PERSISTENCE_CASES[name]
     p = zs.evaluate(spec, zs.UniformGrid(*grid))
-    series = zs.center_series(zs.compute_basis(p), p, 60)
+    series = center_series(zs.compute_basis(p), p, 60)
     outcomes = {}
     for N in range(6, 61, 3):
-        poly = zs.a_polynomial(series, N)
+        poly = a_polynomial(series, N)
         try:
             expected, rejected = _two_solve_eigenvalues(poly, series, N)
         except UnstableSpectrum:
             with pytest.raises(UnstableSpectrum):
-                zs.find_eigenvalues(poly, series, N)
+                find_eigenvalues(poly, series, N)
             outcomes[N] = "unstable"
             continue
-        kept = [ev.rho for ev in zs.find_eigenvalues(poly, series, N)]
+        kept = [ev.rho for ev in find_eigenvalues(poly, series, N)]
         assert len(kept) == len(expected), N
         np.testing.assert_allclose(kept, expected, rtol=0.0, atol=1e-12)
         outcomes[N] = rejected
@@ -358,18 +373,18 @@ def test_constant_reference_polynomial_rejects_every_candidate(zero_direct):
     b = np.zeros_like(a)
     a[N - 4:] = 10.0 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     b[N - 4:] = 10.0 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    series = zs.CoefficientTable(grid=grid, N_max=N, a=a, b=b).center
-    reference = zs.a_polynomial(series, N - 5)
+    series = CoefficientTable(grid=grid, N_max=N, a=a, b=b).center
+    reference = a_polynomial(series, N - 5)
     assert reference[0] == 1.0 and not np.any(reference[1:])
-    poly = zs.a_polynomial(series, N)
+    poly = a_polynomial(series, N)
     with pytest.raises(UnstableSpectrum):
         _two_solve_eigenvalues(poly, series, N)
     with pytest.raises(UnstableSpectrum, match=r"^(\d+) of \1 in-disk roots"):
-        zs.find_eigenvalues(poly, series, N)
+        find_eigenvalues(poly, series, N)
     # the zero potential's a-polynomial is constant itself: no candidates
     p, _ = zero_direct
-    series = zs.center_series(zs.compute_basis(p), p, N)
-    assert zs.find_eigenvalues(zs.a_polynomial(series, N), series, N) == ()
+    series = center_series(zs.compute_basis(p), p, N)
+    assert find_eigenvalues(a_polynomial(series, N), series, N) == ()
 
 
 def _clear_of_half_integers(mu):

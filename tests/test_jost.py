@@ -6,56 +6,57 @@ from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
 from zsscatter.errors import PoleAtMinusOne
+from zsscatter.jost import eval_jost, rho_of_z, z_of_rho
 
 
 def test_map_landmarks():
-    assert zs.z_of_rho(0.5j) == 0.0
-    assert zs.z_of_rho(0.0) == 1.0
+    assert z_of_rho(0.5j) == 0.0
+    assert z_of_rho(0.0) == 1.0
     with pytest.raises(PoleAtMinusOne):
-        zs.rho_of_z(-1.0)
+        rho_of_z(-1.0)
 
 
 @given(st.floats(-50.0, 50.0), st.floats(0.0, 50.0))
 @settings(max_examples=100, deadline=None)
 def test_map_roundtrip(re, im):
     rho = complex(re, im)
-    z = zs.z_of_rho(rho)
+    z = z_of_rho(rho)
     assert abs(z) <= 1.0 + 1e-12
-    assert abs(zs.rho_of_z(z) - rho) < 1e-12 * max(1.0, abs(rho))
+    assert abs(rho_of_z(z) - rho) < 1e-12 * max(1.0, abs(rho))
 
 
 @given(st.floats(-30.0, 30.0))
 @settings(max_examples=100, deadline=None)
 def test_real_rho_on_circle(rho):
-    assert abs(abs(zs.z_of_rho(rho)) - 1.0) < 1e-12
+    assert abs(abs(z_of_rho(rho)) - 1.0) < 1e-12
 
 
 def test_zero_potential_plane_waves():
     p = zs.evaluate(zs.PotentialSpec(preset="zero", params={}),
                     zs.UniformGrid(5.0, 501))
     table = zs.compute_coefficients(zs.compute_basis(p), p, 10)
-    sp = zs.SpectralPoint.from_rho(1.3 + 0.4j)
+    rho = 1.3 + 0.4j
     j = 120
     x = p.grid.nodes[j]
-    pair = zs.eval_jost(sp, j, table, 10)
-    assert abs(pair.phi1 - np.exp(-1j * sp.rho * x)) < 1e-10
+    pair = eval_jost(rho, j, table, 10)
+    assert abs(pair.phi1 - np.exp(-1j * rho * x)) < 1e-10
     assert abs(pair.phi2) < 1e-10
     assert abs(pair.psi1) < 1e-10
-    assert abs(pair.psi2 - np.exp(1j * sp.rho * x)) < 1e-10
+    assert abs(pair.psi2 - np.exp(1j * rho * x)) < 1e-10
 
 
 @pytest.fixture(scope="module")
 def ex1_table(ex1_direct, ex1_full_table):
     _, sd = ex1_direct
-    return ex1_full_table, sd.meta["n_terms"]
+    return ex1_full_table, sd.n_terms
 
 
 def test_left_edge_asymptotics(ex1_table):
     table, N = ex1_table
-    sp = zs.SpectralPoint.from_rho(0.7 + 1.1j)
-    pair = zs.eval_jost(sp, 0, table, N)
+    rho = 0.7 + 1.1j
+    pair = eval_jost(rho, 0, table, N)
     x = table.grid.nodes[0]
-    factor = np.exp(1j * sp.rho * x)
+    factor = np.exp(1j * rho * x)
     assert abs(pair.phi1 * factor - 1.0) < 1e-6
     assert abs(pair.phi2 * factor) < 1e-6
 
@@ -63,11 +64,11 @@ def test_left_edge_asymptotics(ex1_table):
 def test_proportionality_at_eigenvalue(ex1_direct, ex1_table):
     _, sd = ex1_direct
     table, N = ex1_table
-    sp = zs.SpectralPoint.from_rho(sd.eigenvalues[0].rho)
+    rho = sd.eigenvalues[0].rho
     c = sd.norming_constants[0]
     g = table.grid
     lo, hi = g.n_points // 4, 3 * g.n_points // 4
-    pairs = [zs.eval_jost(sp, j, table, N)
+    pairs = [eval_jost(rho, j, table, N)
              for j in range(lo, hi, (hi - lo) // 16)]
     scale = max(max(abs(p.phi1), abs(p.phi2)) for p in pairs)
     for pair in pairs:
@@ -87,8 +88,8 @@ def test_conjugation_symmetry_real_rho(ex1_table):
     table, N = ex1_table
     j = table.grid.center_index + 1234
     for rho in (0.3, 1.7, 12.0):
-        plus = zs.eval_jost(zs.SpectralPoint.from_rho(rho), j, table, N)
-        minus = zs.eval_jost(zs.SpectralPoint.from_rho(-rho), j, table, N)
+        plus = eval_jost(rho, j, table, N)
+        minus = eval_jost(-rho, j, table, N)
         assert abs(minus.phi1 - np.conj(plus.phi1)) < 1e-12
         assert abs(minus.phi2 - np.conj(plus.phi2)) < 1e-12
 
@@ -99,14 +100,3 @@ def test_hardy_square_summability(ex1_table):
     seq = np.abs(table.b[:, j]) ** 2
     partial = np.cumsum(seq)
     assert partial[-1] - partial[-10] < 1e-8
-
-
-def test_remainder_bound(ex1_table):
-    table, _ = ex1_table
-    sp = zs.SpectralPoint.from_rho(1.0j)
-    c = table.grid.center_index
-    bounds = [zs.remainder_bound(sp, c, table, N) for N in (5, 15, 30)]
-    assert all(b >= 0.0 for b in bounds)
-    assert bounds[0] >= bounds[1] >= bounds[2]
-    with pytest.raises(ValueError):
-        zs.remainder_bound(zs.SpectralPoint.from_rho(1.0), c, table, 5)

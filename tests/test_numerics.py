@@ -317,7 +317,7 @@ class TestDirectLayerBits:
         for field in _BASIS_FIELDS:
             assert np.array_equal(getattr(basis, field), getattr(ref_basis, field), equal_nan=True)
         ref = zs.solve_direct(p, rho_count=sd.rho_grid.size)
-        assert sd.meta["n_terms"] == ref.meta["n_terms"]
+        assert sd.n_terms == ref.n_terms
         assert np.array_equal(sd.series.a, ref.series.a)
         assert np.array_equal(sd.series.b, ref.series.b)
         assert np.array_equal(sd.a_values, ref.a_values)

@@ -5,6 +5,8 @@ import pytest
 
 import zsscatter as zs
 from zsscatter.errors import DomainTooSmall, NonRealPotential
+from zsscatter.numerics import differentiate
+from zsscatter.potentials import write_potential_csv
 
 
 def test_preset_names():
@@ -61,7 +63,7 @@ def test_even_presets(preset, params):
 def test_derivative_matches_finite_differences():
     g = zs.UniformGrid(10.0, 4001)
     p = zs.evaluate(zs.PotentialSpec(preset="example4", params={}), g)
-    fd = zs.differentiate(g, p.q)
+    fd = differentiate(g, p.q)
     assert np.max(np.abs(fd - p.q_prime)) < 1e-6
 
 
@@ -70,7 +72,7 @@ def test_csv_roundtrip(tmp_path):
     p = zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": 1.5}), g)
     path = tmp_path / "q.csv"
     fine = zs.UniformGrid(9.0, 3601)
-    zs.write_potential_csv(str(path),
+    write_potential_csv(str(path),
                            fine,
                            1.5 / np.cosh(fine.nodes))
     p2 = zs.evaluate(zs.PotentialSpec(path=str(path)), g)
@@ -80,7 +82,7 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_domain_too_small(tmp_path):
     path = tmp_path / "q.csv"
     small = zs.UniformGrid(2.0, 101)
-    zs.write_potential_csv(str(path), small, np.exp(-small.nodes ** 2))
+    write_potential_csv(str(path), small, np.exp(-small.nodes ** 2))
     with pytest.raises(DomainTooSmall):
         zs.evaluate(zs.PotentialSpec(path=str(path)), zs.UniformGrid(5.0, 101))
 
@@ -108,7 +110,7 @@ def test_decay_check_warns_for_slow_decay(tmp_path):
     g = zs.UniformGrid(15.0, 2001)
     path = tmp_path / "lorentz.csv"
     wide = zs.UniformGrid(16.0, 3201)
-    zs.write_potential_csv(str(path), wide, 1.0 / (1.0 + wide.nodes ** 2))
+    write_potential_csv(str(path), wide, 1.0 / (1.0 + wide.nodes ** 2))
     p = zs.evaluate(zs.PotentialSpec(path=str(path)), g)
     warnings = zs.decay_check(p)
     assert len(warnings) == 2
