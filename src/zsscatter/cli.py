@@ -12,6 +12,7 @@ import numpy as np
 from ._output import write_csv
 from .coeffs import DEFAULT_N_MAX
 from .direct import (
+    check_rho_grid,
     scattering_from_json,
     scattering_to_json,
     solve_direct,
@@ -113,10 +114,9 @@ def _parse_n(text, parser):
 def _check_direct_args(args, parser):
     try:
         args.grid = UniformGrid(args.half_width, args.grid_points)
+        check_rho_grid(args.rho_max, args.rho_count)
     except ValueError as exc:
         parser.error(f"invalid grid option: {exc}")
-    if args.rho_count < 2:
-        parser.error("--rho-count must be >= 2")
     args.n_terms = _parse_n(args.n_terms, parser)
 
 
@@ -141,7 +141,7 @@ def _direct_stage(args, parser):
 
 
 def _inverse_config(args, parser) -> InverseConfig:
-    n = args.inverse_n if isinstance(args.inverse_n, str) else str(args.inverse_n)
+    n = args.inverse_n
     try:
         return InverseConfig(
             x_half_width=args.x_half_width,
@@ -165,6 +165,8 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
         "selection_fallbacks": info.get("selection_fallbacks", 0),
         "sweep_fallbacks": info["sweep_fallbacks"],
+        "selection_rank_truncated": info.get("selection_rank_truncated", 0),
+        "sweep_rank_truncated": info["sweep_rank_truncated"],
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],
         "discrepancy": info["discrepancy"],

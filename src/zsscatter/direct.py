@@ -38,6 +38,7 @@ __all__ = [
     "oracle_scatter",
     "reflection",
     "transmission",
+    "check_rho_grid",
     "solve_direct",
     "validate_scattering",
     "scattering_to_json",
@@ -258,6 +259,18 @@ def _is_order(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
 
 
+def check_rho_grid(rho_max: float, rho_count: int) -> None:
+    """Raise ValueError unless :func:`solve_direct`'s rho grid, ``rho_count``
+    points evenly spaced on [-rho_max, rho_max], is strictly increasing:
+    ``rho_max`` finite and > 0 and ``rho_count`` an integer >= 2 of any
+    ``numbers.Integral`` type but ``bool``.
+    """
+    if not (isinstance(rho_max, numbers.Real) and 0.0 < rho_max < np.inf):
+        raise ValueError(f"rho_max must be finite and > 0, got {rho_max!r}")
+    if not (_is_order(rho_count) and rho_count >= 2):
+        raise ValueError(f"rho_count must be an integer >= 2, got {rho_count!r}")
+
+
 def solve_direct(
     p: SampledPotential,
     rho_max: float = 30.0,
@@ -275,8 +288,9 @@ def solve_direct(
 
     ``N_max`` must be an integer >= 0 and ``n_terms`` None (pick N from the
     sum rules) or an integer 0 <= n_terms <= N_max, each of any
-    ``numbers.Integral`` type but ``bool``; other values raise ValueError
-    before any work is done.
+    ``numbers.Integral`` type but ``bool``, and ``rho_max`` and
+    ``rho_count`` as :func:`check_rho_grid` takes them; other values
+    raise ValueError before any work is done.
     """
     if not _is_order(N_max):
         raise ValueError(f"N_max must be an integer >= 0, got {N_max!r}")
@@ -284,6 +298,7 @@ def solve_direct(
         raise ValueError(
             f"n_terms must be None or an integer from 0 to N_max = {N_max}, got {n_terms!r}"
         )
+    check_rho_grid(rho_max, rho_count)
     basis = compute_basis(p, reach=N_max)
     series = center_series(basis, p, N_max)
     if n_terms is None:

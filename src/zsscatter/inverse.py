@@ -13,6 +13,7 @@ from .numerics import (
     UniformGrid,
     differentiate,
     least_squares_solve,
+    pivoted_qr_solve,
     qr_stage_one,
     qr_stage_two,
 )
@@ -91,7 +92,8 @@ class RecoveredCoefficients:
     those of the real split of the collocation system (for a node solved
     in complex form, the complex norms divided by sqrt 2, which is the same
     number in exact arithmetic).  ``fell_back`` marks the nodes whose
-    complex solve failed the two-stage guard and were solved in real form.
+    complex solve failed the two-stage guard and were solved in real form,
+    and ``truncated`` those of them whose solve dropped rank.
     """
 
     x_grid: UniformGrid
@@ -100,7 +102,8 @@ class RecoveredCoefficients:
     residuals: np.ndarray
     rhs_norms: np.ndarray
     conditions: np.ndarray
-    fell_back: np.ndarray | None = None
+    fell_back: np.ndarray
+    truncated: np.ndarray
 
     def _block(self, i: int) -> np.ndarray:
         return self.X[:, i * (self.N + 1)]
@@ -301,10 +304,11 @@ def _require_overdetermined(tables: _FactorTables) -> None:
 
 
 def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
-    """Solve every node in complex form.  A node whose complex system fails
-    the two-stage guard of ``least_squares_solve`` is solved in real form,
-    exactly as a sweep on the real split solves it, so that near the rank
-    edge, where the answer turns on rounding, it keeps those bits."""
+    """Solve every node in complex form by the guarded two-stage
+    ``least_squares_solve``.  A node past its guard is assembled as the
+    real split and solved by one ``pivoted_qr_solve``: near the rank edge,
+    where the answer turns on rounding, it keeps the bits of the real
+    rank-revealing solve that such nodes always got."""
     _require_overdetermined(tables)
     N = tables.N
     X = np.empty((grid.n_points, 4, N + 1))
@@ -312,14 +316,15 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     rhs_norms = np.empty(grid.n_points)
     conditions = np.empty(grid.n_points)
     fell_back = np.zeros(grid.n_points, dtype=bool)
+    truncated = np.zeros(grid.n_points, dtype=bool)
     for j, x in enumerate(grid.nodes):
         C, r = tables.assemble(float(x))
         rhs_norms[j] = np.linalg.norm(r) / _SQRT2
-        solved = least_squares_solve(C, r, fallback=False)
+        solved = least_squares_solve(C, r)
         if solved is None:
             fell_back[j] = True
             A, B = tables.assemble_real(float(x))
-            sol, residuals[j], conditions[j] = _solve_node(A, B, x)
+            sol, residuals[j], conditions[j], truncated[j] = _solve_node(A, B, x)
             X[j] = sol.reshape(4, N + 1)
         else:
             sol, res, conditions[j] = solved
@@ -329,17 +334,20 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     return RecoveredCoefficients(
         x_grid=grid, N=N, X=X.reshape(grid.n_points, -1), residuals=residuals,
         rhs_norms=rhs_norms, conditions=conditions, fell_back=fell_back,
+        truncated=truncated,
     )
 
 
 def _solve_node(A: np.ndarray, B: np.ndarray, x: float):
+    """(x, residual, cond, truncated) of ``pivoted_qr_solve`` on a node's system."""
     try:
         # reflectionless data leaves some coefficient columns supported
-        # only by the handful of eigenvalue rows; drop those pivots
-        # instead of failing the whole sweep
-        return least_squares_solve(A, B, on_deficient="truncate")
+        # only by the handful of eigenvalue rows; the solve drops those
+        # pivots instead of failing the whole sweep
+        sol, res, cond, rank = pivoted_qr_solve(A, B)
     except RankDeficient as exc:
         raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
+    return sol, res, cond, rank < A.shape[1]
 
 
 def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: int):
@@ -347,8 +355,9 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
 
     ``candidates`` must be sorted and distinct.  Returns ``order_zero``, of
     shape (len(candidates), n_nodes, 4) and holding Re b0, Im b0, Re a0,
-    Im a0, and the boolean (len(candidates), n_nodes) array of
-    node-candidate solves that went to the per-candidate path.
+    Im a0, and two boolean (len(candidates), n_nodes) arrays: the
+    node-candidate solves that went to the per-candidate path, and those
+    of them that dropped rank.
 
     One table build serves all candidates: with the columns of the real
     split taken in degree order (Re b_n, Im b_n, Re a_n, Im a_n for
@@ -358,9 +367,9 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     stage-one QR per node (``qr_stage_one``) serves every candidate, and
     stage two runs on each candidate's leading triangle.  Where stage two
     fails its guard, that candidate and the larger ones at the node are
-    solved by ``least_squares_solve`` on their own columns in the sweep's
-    block order, which is exactly the node solve of a real per-candidate
-    sweep.
+    solved by ``pivoted_qr_solve`` on their own columns in the sweep's
+    block order, which is exactly the fallback solve of a real
+    per-candidate sweep.
 
     The selection stays on the real split.  eps(N) on the plateau past the
     optimal N is rounding noise, and the complex form lowers it (on ex1,
@@ -375,6 +384,7 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     degree_order = block_cols.T.ravel()
     order_zero = np.empty((len(candidates), grid.n_points, 4))
     fell_back = np.zeros((len(candidates), grid.n_points), dtype=bool)
+    truncated = np.zeros_like(fell_back)
     for j, x in enumerate(grid.nodes):
         A, B = top.assemble_real(float(x))
         factor, col_scale = qr_stage_one(A[:, degree_order], B)
@@ -390,14 +400,14 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
                 # np.take gathers into the row-major layout that the solve
                 # would otherwise copy the columns into
                 own = np.take(A, block_cols[:, : N + 1].ravel(), axis=1)
-                sol, _, _ = _solve_node(own, B, x)
+                sol, _, _, truncated[i, j] = _solve_node(own, B, x)
                 order_zero[i, j] = sol[:: N + 1]
-    return order_zero, fell_back
+    return order_zero, fell_back, truncated
 
 
 def select_truncation_inverse(
     sd: ScatteringData, cfg: InverseConfig
-) -> tuple[int, dict[int, float], int]:
+) -> tuple[int, dict[int, float], int, int]:
     """Pick N by minimizing the Wronskian flatness defect eps(N).
 
     eps(N) is the max over the selection grid of |d/dx| of the
@@ -407,15 +417,17 @@ def select_truncation_inverse(
     candidates share one stage-one QR per node (see
     ``_selection_order_zero``); only the order-zero entries are kept.
 
-    Returns (N, eps_table, fallbacks), ``eps_table`` keyed by candidate in
-    increasing order and ``fallbacks`` the number of node-candidate solves
-    whose pivot ratio failed the two-stage guard of
+    Returns (N, eps_table, fallbacks, truncated), ``eps_table`` keyed by
+    candidate in increasing order, ``fallbacks`` the number of
+    node-candidate solves whose pivot ratio failed the two-stage guard of
     :func:`~zsscatter.numerics.least_squares_solve` and were solved on
-    their own.
+    their own by :func:`~zsscatter.numerics.pivoted_qr_solve`, and
+    ``truncated`` the number of those that dropped rank.
     """
     grid = cfg.selection_grid()
     candidates = sorted({int(n) for n in cfg.candidates})
-    order_zero, fell_back = _selection_order_zero(sd, candidates, grid, cfg.selection_K)
+    order_zero, fell_back, truncated = _selection_order_zero(
+        sd, candidates, grid, cfg.selection_K)
     eps_table: dict[int, float] = {}
     best_n = None
     best_eps = np.inf
@@ -426,7 +438,8 @@ def select_truncation_inverse(
         if eps < best_eps:
             best_eps = eps
             best_n = N
-    return int(best_n), eps_table, int(np.count_nonzero(fell_back))
+    return (int(best_n), eps_table, int(np.count_nonzero(fell_back)),
+            int(np.count_nonzero(truncated)))
 
 
 def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
@@ -465,9 +478,10 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     """Full inverse pipeline; returns (potential, coefficients, info)."""
     info: dict = {}
     if cfg.N == "auto":
-        N, eps_table, fallbacks = select_truncation_inverse(sd, cfg)
+        N, eps_table, fallbacks, truncated = select_truncation_inverse(sd, cfg)
         info["eps_table"] = eps_table
         info["selection_fallbacks"] = fallbacks
+        info["selection_rank_truncated"] = truncated
     else:
         N = int(cfg.N)
     info["chosen_N"] = N
@@ -477,6 +491,7 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     info["collocation_count"] = tables.K
     coeffs = _solve_sweep(tables, cfg.x_grid())
     info["sweep_fallbacks"] = int(np.count_nonzero(coeffs.fell_back))
+    info["sweep_rank_truncated"] = int(np.count_nonzero(coeffs.truncated))
     info["max_residual"] = float(np.max(coeffs.residuals))
     info["max_condition"] = float(np.max(coeffs.conditions))
     recovered = recover_potential(coeffs)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
@@ -25,6 +24,7 @@ __all__ = [
     "horner",
     "polynomial_roots",
     "least_squares_solve",
+    "pivoted_qr_solve",
     "qr_stage_one",
     "qr_stage_two",
     "differentiate",
@@ -47,8 +47,8 @@ class UniformGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise ValueError("half_width must be positive")
+        if not (0.0 < self.half_width < np.inf):
+            raise ValueError(f"half_width must be finite and > 0, got {self.half_width!r}")
         if self.n_points < 5 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 5")
         nodes = np.linspace(-self.half_width, self.half_width, self.n_points)
@@ -299,75 +299,39 @@ def polynomial_roots(coeffs) -> np.ndarray:
 _RANK_TOL = 1e-12
 # Pivot ratio the two-stage solve must clear, in units of _RANK_TOL.  Closer
 # to the rank edge, rounding in the unpivoted first stage could flip the rank
-# decision, so such systems go to the single-stage pivoted QR.
+# decision, so such systems are left to pivoted_qr_solve.
 _TWO_STAGE_MARGIN = 1e3
 # Block size of the first-stage QR (LAPACK geqrt, recursive panels).
 _QR_BLOCK = 32
 
 
-def least_squares_solve(
-    A: np.ndarray,
-    b: np.ndarray,
-    on_deficient: str = "raise",
-    fallback: bool = True,
-) -> tuple[np.ndarray, float, float] | None:
+def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """Minimize ||Ax - b||_2 by a QR of [A | b], then pivoted QR of its triangle.
 
     A and b may be real or complex; a complex system is solved in complex
-    arithmetic, with no real split.  The columns of A are scaled to unit
-    norm first.  Stage one (:func:`qr_stage_one`) is an unpivoted blocked
-    Householder QR of the m x (n+1) matrix [A | b]; its n x n triangle R0
-    and last column Q^H b stand in for A and b, and Q is never formed.
-    Stage two (:func:`qr_stage_two`) is a column-pivoted QR of R0, which has
-    the column norms of A, so its pivots, rank test and condition estimate
-    are those of a pivoted QR of A in exact arithmetic (T. F. Chan, ACM TOMS
-    8, 1982); its reflectors are applied to Q^H b in factored form, so
-    neither stage forms its Q.  The two-stage result is kept only when the
-    smallest pivot exceeds ``1e3 * _RANK_TOL`` = 1e-9 times the largest
-    (condition below 1e9); otherwise the system is solved by one
-    column-pivoted QR of A (a real one bit for bit as before the two-stage
-    solve), or, with ``fallback=False``, None is returned and the caller
-    solves it by other means.  Any layout
-    of A gives the same bits: a real A is taken in row-major order, as it
-    always was, and a complex A in column-major order, the one LAPACK
-    factors, so that a column-major complex A is not transposed.
+    arithmetic, with no real split.  Stage one (:func:`qr_stage_one`) is an
+    unpivoted QR of the column-equilibrated [A | b], whose triangle R0 and
+    last column Q^H b stand in for A and b; its last diagonal entry is the
+    residual norm.  Stage two (:func:`qr_stage_two`) is a column-pivoted QR
+    of R0, which has the column norms of A, so its pivots and condition
+    estimate are those of a pivoted QR of A in exact arithmetic (T. F. Chan,
+    ACM TOMS 8, 1982).  Neither stage forms its Q.
 
-    Returns (x, residual_norm, condition_estimate), the condition estimate
-    being the ratio of extreme diagonal magnitudes of the pivoted triangular
-    factor over the retained columns.  When a diagonal entry drops below
-    ``_RANK_TOL`` relative to the largest one the matrix is numerically rank
-    deficient: with ``on_deficient="raise"`` that is an error, with
-    ``"truncate"`` the deficient pivot columns are dropped and their
-    solution entries set to zero (a basic solution, matching what pivoted
-    backslash-style solvers do).  NaN or inf in A or b raises ValueError.
+    Returns (x, residual_norm, condition_estimate), the estimate being the
+    ratio of extreme pivots, or None when the smallest pivot does not exceed
+    ``1e3 * _RANK_TOL`` = 1e-9 times the largest; such a system is for
+    :func:`pivoted_qr_solve`.  Any layout of A gives the same bits.  NaN or
+    inf in A or b raises ValueError.
     """
-    if on_deficient not in ("raise", "truncate"):
-        raise ValueError("on_deficient must be 'raise' or 'truncate'")
-    dtype = _solve_dtype(A, b)
-    # the column norms, and past the guard the rank decision, depend on the
-    # summation order, so every layout of A is solved as one fixed layout
-    if dtype.kind == "c":
-        A = np.asfortranarray(A, dtype=dtype)
-    else:
-        A = np.ascontiguousarray(A, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    factor, col_scale = qr_stage_one(A, b)
-    solved = qr_stage_two(factor, A.shape[1])
+    factor, col_scale = qr_stage_one(*_fixed_layout(A, b))
+    n = col_scale.size
+    solved = qr_stage_two(factor, n)
     if solved is None:
-        if not fallback:
-            return None
-        solved = _pivoted_qr_solve(A / col_scale, b, on_deficient)
+        return None
     x, cond = solved
     x /= col_scale
-    if dtype.kind == "c":
-        # SciPy's BLAS, the library that factored A: NumPy links an OpenBLAS
-        # of its own, and its threaded zgemv between SciPy's LAPACK calls
-        # leaves two thread pools contending for the cores (at two threads
-        # on two cores the next zgeqrt took 3x as long)
-        Ax = scipy.linalg.blas.zgemv(1.0, A, x)
-    else:
-        Ax = A @ x
-    residual = float(np.linalg.norm(Ax - b))
+    # R of [A | b] ends in the norm of the part of b outside the range of A
+    residual = float(abs(factor[n, n])) if factor.shape[0] > n else 0.0
     return x, residual, cond
 
 
@@ -376,25 +340,29 @@ def _solve_dtype(A, b) -> np.dtype:
     return np.result_type(np.asarray(A).dtype, np.asarray(b).dtype, np.float64)
 
 
-def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
+def _fixed_layout(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and b in their solve dtype, A in the one layout the solves take.
 
-    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
-    1 for a zero column), and ``factor`` is the blocked Householder QR of the
-    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
-    triangle and Q^H b in its last column.  The factor is real (dgeqrt) for
-    real A and b and complex (zgeqrt) if either is complex.  Householder
-    reflector k touches rows k..m-1 only, and a column's scale does not
-    depend on the others, so for every n' <= n the leading n' x n' triangle
-    and the first n' entries of the last column are the stage-one factors
-    of the system of A's leading n' columns.  NaN or inf in A or b raises
-    ValueError.
+    The column norms, and past the guard the rank decision, depend on the
+    summation order, so a real A is taken row-major, as it always was, and
+    a complex A column-major, the order LAPACK factors."""
+    dtype = _solve_dtype(A, b)
+    layout = np.asfortranarray if dtype.kind == "c" else np.ascontiguousarray
+    return layout(A, dtype=dtype), np.asarray(b, dtype=dtype)
+
+
+def _prepared_system(A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, b, col_scale): A and b in their solve dtype, as laid out, and the
+    column norms of A (1 for a zero column).  ValueError unless A is m x n
+    with m >= n >= 1 and b has length m, both finite.
     """
     dtype = _solve_dtype(A, b)
     A = np.asarray(A, dtype=dtype)
     b = np.asarray(b, dtype=dtype)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise ValueError("A must be m x n with m >= n >= 1")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"b of shape {b.shape} does not match A with {A.shape[0]} rows")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
     # equilibrate columns so the rank test is invariant to column scaling;
@@ -405,8 +373,28 @@ def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
         col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
     col_scale[col_scale == 0.0] = 1.0
+    return A, b, col_scale
+
+
+def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
+
+    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
+    1 for a zero column), and ``factor`` is the blocked Householder QR of the
+    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
+    triangle, Q^H b in its last column and the residual norm, up to sign,
+    in entry (n, n) when m > n.  The factor is real (dgeqrt) for real A and
+    b and complex (zgeqrt) if either is complex.  Householder reflector k
+    touches rows k..m-1 only, and a column's scale does not depend on the
+    others, so for every n' <= n the leading n' x n' triangle and the first
+    n' entries of the last column are the stage-one factors of the system
+    of A's leading n' columns.  A is factored as laid out: the nested
+    inverse N-selection's bits rest on the column-major order of its
+    column gather.  NaN or inf in A or b raises ValueError.
+    """
+    A, b, col_scale = _prepared_system(A, b)
     m, n = A.shape
-    aug = np.empty((m, n + 1), dtype, order="F")
+    aug = np.empty((m, n + 1), A.dtype, order="F")
     np.divide(A, col_scale, out=aug[:, :n])
     aug[:, n] = b
     geqrt = scipy.linalg.lapack.get_lapack_funcs("geqrt", (aug,))
@@ -467,24 +455,32 @@ def qr_stage_two(factor: np.ndarray, n: int):
     return x, float(diag.max() / diag.min())
 
 
-def _pivoted_qr_solve(A_s, b, on_deficient):
-    """(x, cond) from one column-pivoted QR of the equilibrated A_s."""
-    Q, R, perm = scipy.linalg.qr(A_s, mode="economic", pivoting=True)
+def pivoted_qr_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """Minimize ||Ax - b||_2 by one column-pivoted QR of the equilibrated A.
+
+    The rank-revealing solve for systems past the guard of
+    :func:`least_squares_solve`: pivots below ``_RANK_TOL`` times the
+    largest are dropped and their entries of x set to zero (a basic
+    solution).  Q is explicit (``scipy.linalg.qr``); the inverse
+    N-selection's choice on its rounding-noise plateau rests on these bits.
+    Returns (x, residual_norm, condition_estimate, rank), the estimate over
+    the kept pivots.  Any layout of A gives the same bits.  Raises
+    RankDeficient if A = 0.
+    """
+    A, b, col_scale = _prepared_system(*_fixed_layout(A, b))
+    Q, R, perm = scipy.linalg.qr(A / col_scale, mode="economic", pivoting=True)
     diag = np.abs(np.diagonal(R))
     dmax = diag.max()
     rank = int(np.count_nonzero(diag >= _RANK_TOL * dmax)) if dmax > 0 else 0
-    if rank < A_s.shape[1]:
-        if on_deficient == "raise" or rank == 0:
-            raise RankDeficient("triangular factor has a near-zero diagonal entry")
-        # pivoting pushes deficient columns to the back; keep the leading block
-        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T.conj() @ b)
-        x = np.zeros(A_s.shape[1], A_s.dtype)
-        x[perm[:rank]] = y
-    else:
-        y = scipy.linalg.solve_triangular(R, Q.T.conj() @ b)
-        x = np.empty_like(y)
-        x[perm] = y
-    return x, float(dmax / diag[:rank].min())
+    if rank == 0:
+        raise RankDeficient("every pivot of the triangular factor is zero")
+    # pivoting pushes deficient columns to the back; keep the leading block
+    y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T.conj() @ b)
+    x = np.zeros(A.shape[1], A.dtype)
+    x[perm[:rank]] = y
+    x /= col_scale
+    residual = float(np.linalg.norm(A @ x - b))
+    return x, residual, float(dmax / diag[:rank].min()), rank
 
 
 def differentiate(grid: UniformGrid, f: np.ndarray) -> np.ndarray:

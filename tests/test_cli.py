@@ -43,6 +43,9 @@ def test_even_grid_points_exit_1():
 
 @pytest.mark.parametrize("option,value", [
     ("--grid-points", "3"), ("--grid-points", "1"), ("--half-width", "0"),
+    ("--half-width", "inf"), ("--half-width", "nan"),
+    ("--rho-max", "-3"), ("--rho-max", "0"), ("--rho-max", "inf"), ("--rho-max", "nan"),
+    ("--rho-count", "1"),
     ("--n-terms", "-2"), ("--n-terms", "251"), ("--n-terms", "2.5"),
 ])
 def test_bad_direct_options_exit_1(option, value, tmp_path, capsys):
@@ -56,6 +59,7 @@ def test_bad_direct_options_exit_1(option, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("option,value", [
     ("--inverse-n", "0"), ("--inverse-n", "abc"), ("--x-points", "3"), ("--collocation", "0"),
+    ("--x-half-width", "inf"), ("--x-half-width", "nan"), ("--x-half-width", "0"),
 ])
 def test_bad_inverse_options_exit_1(option, value, tmp_path, capsys):
     for command in (["inverse", "--scattering", str(tmp_path / "absent.json")],
@@ -163,6 +167,8 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
     assert 0 < summary["collocation_count"] < 150
     assert summary["selection_fallbacks"] == 0
     assert summary["sweep_fallbacks"] == 0
+    assert summary["selection_rank_truncated"] == 0
+    assert summary["sweep_rank_truncated"] == 0
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):

@@ -257,6 +257,29 @@ def test_invalid_orders_rejected_before_any_sweep(kwargs, monkeypatch):
         zs.solve_direct(p, rho_count=50, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(rho_max=-3.0), dict(rho_max=0.0), dict(rho_max=np.inf), dict(rho_max=np.nan),
+    dict(rho_max="30"), dict(rho_count=1), dict(rho_count=0), dict(rho_count=2.0),
+    dict(rho_count=True), dict(rho_count="50"),
+])
+def test_invalid_rho_grid_rejected_before_any_sweep(kwargs, monkeypatch):
+    # a rho grid that is not strictly increasing would be written out and
+    # then refused by validate
+    def no_sweep(*args, **kw):
+        raise AssertionError("the basis was computed before the arguments were checked")
+
+    monkeypatch.setattr(zs.direct, "compute_basis", no_sweep)
+    p = zs.evaluate(zs.PotentialSpec(preset="zero", params={}), zs.UniformGrid(4.0, 101))
+    with pytest.raises(ValueError, match="rho_max|rho_count"):
+        zs.solve_direct(p, **{"rho_count": 50, **kwargs})
+
+
+def test_smallest_rho_grid_accepted():
+    p = zs.evaluate(zs.PotentialSpec(preset="zero", params={}), zs.UniformGrid(4.0, 101))
+    sd = zs.solve_direct(p, rho_max=np.float64(1e-3), rho_count=np.int64(2))
+    assert np.array_equal(sd.rho_grid, [-1e-3, 1e-3])
+
+
 @pytest.mark.parametrize("n_terms", [0, np.int64(7), DEFAULT_N_MAX])
 def test_integer_orders_accepted(n_terms):
     p = zs.evaluate(zs.PotentialSpec(preset="sech_scaled", params={"mu": 1.0}),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 import zsscatter as zs
@@ -10,7 +11,7 @@ from zsscatter.errors import DenominatorNearZero, MissingSpectrumData
 from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients, recover_potential, select_truncation_inverse
 from zsscatter.jost import z_of_rho
-from zsscatter.numerics import differentiate, least_squares_solve
+from zsscatter.numerics import differentiate, least_squares_solve, pivoted_qr_solve
 from test_numerics import _reference_lsq, _reference_stage_two
 
 
@@ -222,7 +223,7 @@ class TestTrivialPipeline:
             cfg = zs.InverseConfig(x_half_width=4.0, K=200,
                                    candidates=candidates,
                                    selection_x_points=21, selection_K=150)
-            N, eps, _ = select_truncation_inverse(sd, cfg)
+            N, eps, _, _ = select_truncation_inverse(sd, cfg)
             assert N == 5
             assert list(eps) == [5, 10, 15]
             assert max(eps.values()) < 1e-12
@@ -231,24 +232,29 @@ class TestTrivialPipeline:
 class TestSelection:
     def test_example1_chosen_n(self, ex1_direct):
         _, sd = ex1_direct
-        N, eps, _ = select_truncation_inverse(sd, zs.InverseConfig())
+        N, eps, _, _ = select_truncation_inverse(sd, zs.InverseConfig())
         assert 15 <= N <= 35
         assert eps[N] <= min(eps.values()) + 1e-30
 
     def test_example2_chosen_n(self, ex2_direct):
         _, sd = ex2_direct
-        N, eps, _ = select_truncation_inverse(
+        N, eps, _, _ = select_truncation_inverse(
             sd, zs.InverseConfig(x_half_width=7.0))
         assert 50 <= N <= 80
         assert eps[N] <= min(eps.values()) + 1e-30
 
 
+def _real_node_solve(A, B):
+    """The real solve of a node, kept as a reference: the guarded two-stage
+    solve, and past its guard the pivoted one."""
+    return least_squares_solve(A, B) or pivoted_qr_solve(A, B)[:3]
+
+
 def _real_sweep(sd, N, K, grid):
-    """The real sweep, kept as a reference: one ``least_squares_solve`` of the
+    """The real sweep, kept as a reference: one ``_real_node_solve`` of the
     reference real split per node.  Returns (X, residuals, conditions)."""
     tables = inverse._FactorTables(sd, N, K)
-    solves = [least_squares_solve(*_reference_assemble(tables, float(x)),
-                                     on_deficient="truncate") for x in grid.nodes]
+    solves = [_real_node_solve(*_reference_assemble(tables, float(x))) for x in grid.nodes]
     X, res, cond = zip(*solves)
     return np.array(X), np.array(res), np.array(cond)
 
@@ -269,6 +275,25 @@ def _reference_select(sd, cfg):
     return min(eps_table, key=eps_table.get), eps_table, np.array(zero)
 
 
+def _count_factorizations(monkeypatch):
+    """Record every factorization the solves make, as (kind, dtype char):
+    geqrt and geqp3 through ``get_lapack_funcs``, and ``scipy.linalg.qr``."""
+    calls = []
+    get_funcs, qr = scipy.linalg.lapack.get_lapack_funcs, scipy.linalg.qr
+
+    def get_funcs_spy(names, arrays=(), *args, **kwargs):
+        calls.append((names, arrays[0].dtype.char))
+        return get_funcs(names, arrays, *args, **kwargs)
+
+    def qr_spy(a, *args, **kwargs):
+        calls.append(("qr", a.dtype.char))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_funcs_spy)
+    monkeypatch.setattr(scipy.linalg, "qr", qr_spy)
+    return calls
+
+
 def _degree_order(N):
     """Sweep columns k (N + 1) + n listed as Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N."""
     return np.arange(4 * (N + 1)).reshape(4, N + 1).T.ravel()
@@ -287,7 +312,7 @@ class TestNestedSelection:
         _, sd = ex1_direct
         cfg = zs.InverseConfig(**_MIXED)
         N_ref, eps_ref, zero_ref = _reference_select(sd, cfg)
-        zero, fell_back = inverse._selection_order_zero(
+        zero, fell_back, _ = inverse._selection_order_zero(
             sd, list(cfg.candidates), cfg.selection_grid(), cfg.selection_K)
         assert fell_back.any() and not fell_back.all()
         # per node, the candidates past the first failure fall back too
@@ -296,7 +321,7 @@ class TestNestedSelection:
         # solves agree with them to rounding
         assert np.array_equal(zero[fell_back], zero_ref[fell_back])
         assert np.max(np.abs(zero[~fell_back] - zero_ref[~fell_back])) <= 1e-10
-        N, eps, fallbacks = select_truncation_inverse(sd, cfg)
+        N, eps, fallbacks, _ = select_truncation_inverse(sd, cfg)
         assert N == N_ref
         assert fallbacks == np.count_nonzero(fell_back)
         for n in cfg.candidates:
@@ -307,16 +332,33 @@ class TestNestedSelection:
         _, sd = ex1_direct
         cfg = zs.InverseConfig(**_MIXED)
         args = (sd, list(cfg.candidates), cfg.selection_grid(), cfg.selection_K)
-        _, fell_back = inverse._selection_order_zero(*args)
+        _, fell_back, _ = inverse._selection_order_zero(*args)
 
         def explicit_q(factor, n):
             ref = _reference_stage_two(factor, n)
             return None if ref is None else ref[:2]
 
         monkeypatch.setattr(inverse, "qr_stage_two", explicit_q)
-        _, fell_back_ref = inverse._selection_order_zero(*args)
+        _, fell_back_ref, _ = inverse._selection_order_zero(*args)
         assert fell_back_ref.any() and not fell_back_ref.all()
         assert np.array_equal(fell_back, fell_back_ref)
+
+    def test_each_fallback_factors_its_system_once(self, ex1_direct, monkeypatch):
+        # one real stage one per node serves the nested candidates; a
+        # candidate past the guard gets one pivoted QR and no stage one or
+        # stage two of its own
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(**_MIXED)
+        calls = _count_factorizations(monkeypatch)
+        _, fell_back, _ = inverse._selection_order_zero(
+            sd, list(cfg.candidates), cfg.selection_grid(), cfg.selection_K)
+        n_nodes = cfg.selection_x_points
+        assert fell_back.any() and not fell_back.all()
+        stage_twos = np.count_nonzero(~fell_back) + np.count_nonzero(fell_back.any(axis=0))
+        assert calls.count(("geqrt", "d")) == n_nodes
+        assert calls.count(("geqp3", "d")) == stage_twos
+        assert calls.count(("qr", "d")) == np.count_nonzero(fell_back)
+        assert len(calls) == n_nodes + stage_twos + np.count_nonzero(fell_back)
 
     def test_candidate_columns_are_the_leading_block(self, sech_data):
         sd = sech_data
@@ -337,11 +379,13 @@ class TestNestedSelection:
     def test_fallbacks_reported(self, ex1_direct):
         _, sd = ex1_direct
         _, _, info = zs.solve_inverse(sd, zs.InverseConfig(**_NESTED))
-        assert info["selection_fallbacks"] == 0
+        assert info["selection_fallbacks"] == info["selection_rank_truncated"] == 0
         _, _, info = zs.solve_inverse(sd, zs.InverseConfig(**_MIXED, N="auto", x_points=11))
-        assert info["selection_fallbacks"] > 0
+        # some of the per-candidate solves drop rank, some keep it
+        assert info["selection_fallbacks"] > info["selection_rank_truncated"] > 0
         _, _, info = zs.solve_inverse(sd, zs.InverseConfig(N=25, x_points=11, x_half_width=0.1))
         assert "selection_fallbacks" not in info and "eps_table" not in info
+        assert "selection_rank_truncated" not in info
 
 
 class TestSweepKernel:
@@ -388,13 +432,29 @@ class TestSweepKernel:
         assert np.array_equal(coeffs.residuals[fell_back], res_ref[fell_back])
         assert np.array_equal(coeffs.conditions[fell_back], cond_ref[fell_back])
         assert np.all(cond_ref[fell_back] > 1e9)
+        # and these solves drop rank, which the sweep reports per node
+        tables = inverse._FactorTables(sd, 90, 400)
+        ranks = np.array([pivoted_qr_solve(*_reference_assemble(tables, float(x)))[3]
+                          for x in cfg.x_grid().nodes])
+        assert np.array_equal(coeffs.truncated, fell_back & (ranks < 4 * 91))
+        assert info["sweep_rank_truncated"] == np.count_nonzero(coeffs.truncated) > 0
+
+    def test_fallback_node_is_factored_once(self, ex1_direct, monkeypatch):
+        # a node past the guard of its complex solve gets one pivoted QR of
+        # its real split, with no real stage one or stage two before it
+        _, sd = ex1_direct
+        tables = inverse._FactorTables(sd, 90, 400)
+        calls = _count_factorizations(monkeypatch)
+        coeffs = inverse._solve_sweep(tables, zs.UniformGrid(4.8, 5))
+        assert coeffs.fell_back.all()
+        assert calls == [("geqrt", "D"), ("geqp3", "D"), ("qr", "d")] * 5
 
     def test_no_fallbacks_on_the_benchmark_sweep(self, ex1_direct):
         _, sd = ex1_direct
         cfg = zs.InverseConfig(N=25, x_half_width=0.25, x_points=101)
         _, coeffs, info = zs.solve_inverse(sd, cfg)
-        assert info["sweep_fallbacks"] == 0
-        assert not coeffs.fell_back.any()
+        assert info["sweep_fallbacks"] == info["sweep_rank_truncated"] == 0
+        assert not coeffs.fell_back.any() and not coeffs.truncated.any()
 
     def test_solve_does_not_depend_on_the_layout_of_a(self, ex1_direct):
         # past the two-stage guard, a column-major A or a gather of the
@@ -406,10 +466,10 @@ class TestSweepKernel:
         for N in (80, 90):
             A, _ = inverse._FactorTables(sd, N, 400).assemble_real(x)
             cols = (np.arange(4)[:, None] * 91 + np.arange(N + 1)).ravel()
-            x_ref, res_ref, cond_ref = least_squares_solve(A, B, on_deficient="truncate")
+            x_ref, res_ref, cond_ref, _ = pivoted_qr_solve(A, B)
             assert cond_ref > 1e9
             for other in (np.asfortranarray(A), A_top[:, cols]):
-                sol, res, cond = least_squares_solve(other, B, on_deficient="truncate")
+                sol, res, cond, _ = pivoted_qr_solve(other, B)
                 assert np.array_equal(sol, x_ref)
                 assert res == res_ref and cond == cond_ref
 
@@ -470,7 +530,8 @@ class TestRecovery:
         coeffs = RecoveredCoefficients(
             x_grid=g, N=1, X=X,
             residuals=np.zeros(41), rhs_norms=np.ones(41),
-            conditions=np.ones(41),
+            conditions=np.ones(41), fell_back=np.zeros(41, dtype=bool),
+            truncated=np.zeros(41, dtype=bool),
         )
         with pytest.raises(DenominatorNearZero):
             recover_potential(coeffs)

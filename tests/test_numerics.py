@@ -20,6 +20,7 @@ from zsscatter.numerics import (
     integrate_linear_ode2,
     least_squares_solve,
     midpoint_values,
+    pivoted_qr_solve,
     polynomial_roots,
     qr_stage_one,
     qr_stage_two,
@@ -45,6 +46,11 @@ class TestUniformGrid:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             UniformGrid(0.0, 5)
+
+    @pytest.mark.parametrize("width", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_width(self, width):
+        with pytest.raises(ValueError, match="finite"):
+            UniformGrid(width, 5)
 
     def test_shape_mismatch(self):
         g = UniformGrid(1.0, 5)
@@ -542,9 +548,13 @@ class TestLeastSquares:
         assert np.max(np.abs(A.T @ r)) < 1e-8 * np.linalg.norm(b)
 
     def test_rank_deficient_raises(self):
+        # the guarded solve leaves a deficient system to the pivoted one,
+        # which raises only when no pivot is left
         A = np.ones((4, 2))  # identical columns
+        assert least_squares_solve(A, np.ones(4)) is None
+        assert pivoted_qr_solve(A, np.ones(4))[3] == 1
         with pytest.raises(RankDeficient):
-            least_squares_solve(A, np.ones(4))
+            pivoted_qr_solve(np.zeros((4, 2)), np.ones(4))
 
     def test_rank_deficient_truncates_on_request(self):
         A = np.zeros((4, 3))
@@ -552,13 +562,17 @@ class TestLeastSquares:
         A[:, 1] = [0.0, 0.0, 1.0, 1.0]
         A[:, 2] = A[:, 0]  # duplicate column
         b = np.array([2.0, 2.0, 4.0, 4.0])
-        x, res, _ = least_squares_solve(A, b, on_deficient="truncate")
+        x, res, _, rank = pivoted_qr_solve(A, b)
+        assert rank == 2
         assert res < 1e-12
         assert np.allclose(A @ x, b)
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            least_squares_solve(np.ones((2, 3)), np.ones(2))
+        for solve in (least_squares_solve, pivoted_qr_solve):
+            with pytest.raises(ValueError):
+                solve(np.ones((2, 3)), np.ones(2))
+            with pytest.raises(ValueError, match="does not match"):
+                solve(np.ones((4, 3)), np.ones(3))
 
     def test_scaled_tall_system_matches_reference(self):
         rng = np.random.default_rng(400)
@@ -580,10 +594,12 @@ class TestLeastSquares:
         b = rng.standard_normal(300)
         x_ref, res_ref, cond_ref = _reference_lsq(A, b)
         assert 1e9 < cond_ref < 1e12
-        x, res, cond = least_squares_solve(A, b)
+        assert least_squares_solve(A, b) is None
+        x, res, cond, rank = pivoted_qr_solve(A, b)
         assert np.array_equal(x, x_ref)
         assert res == res_ref
         assert cond == cond_ref
+        assert rank == 40
 
     def test_leading_blocks_match_each_leading_system(self):
         # one stage-one factor of [A | b] serves the systems of A's leading
@@ -610,8 +626,9 @@ class TestLeastSquares:
                                        rtol=1e-12, atol=0.0)
         for n in range(17, 25):
             # the pivot ratio lies between the rank tolerance and the margin
-            assert 1e9 < least_squares_solve(A[:, :n], b)[2] < 1e12
+            assert 1e9 < pivoted_qr_solve(A[:, :n], b)[2] < 1e12
             assert qr_stage_two(factor, n) is None
+            assert least_squares_solve(A[:, :n], b) is None
 
     def test_factored_stage_two_matches_explicit_q(self, monkeypatch):
         # geqp3 sees the same triangle as in the explicit-Q reference, so R,
@@ -658,14 +675,15 @@ class TestLeastSquares:
         wide = rng.standard_normal((300, 70))
         cols = rng.permutation(70)[:40]
         wide[:, cols] = A
-        x, res, cond = least_squares_solve(A, b, on_deficient="truncate")
+        x, res, cond, rank = pivoted_qr_solve(A, b)
         assert 1e9 < cond < 1e12
         for other in (np.asfortranarray(A), wide[:, cols]):
             assert not other.flags.c_contiguous
-            x_o, res_o, cond_o = least_squares_solve(other, b, on_deficient="truncate")
+            x_o, res_o, cond_o, rank_o = pivoted_qr_solve(other, b)
             assert np.array_equal(x_o, x)
             assert res_o == res
             assert cond_o == cond
+            assert rank_o == rank
 
     def test_geqp3_call_matches_scipy_qr(self):
         # stage two calls LAPACK geqp3 itself, with SciPy's workspace query,
@@ -683,6 +701,18 @@ class TestLeastSquares:
                 assert np.array_equal(tau, tau_ref), (n, dtype)
                 assert np.array_equal(perm, perm_ref), (n, dtype)
 
+    def test_stage_one_takes_a_as_laid_out(self):
+        # the nested N-selection factors a column-major gather, and its bits
+        # rest on the column norms summed in that order, so stage one does
+        # not copy A into the row-major layout the solves take
+        A, b = _spread_system(60, 3.0, seed=39, extra_rows=500)
+        F = np.asfortranarray(A)
+        assert not np.array_equal(np.sqrt(np.add.reduce(A * A, axis=0)),
+                                  np.sqrt(np.add.reduce(F * F, axis=0)))
+        for other in (A, F):
+            _, col_scale = qr_stage_one(other, b)
+            assert np.array_equal(col_scale, np.sqrt(np.add.reduce(other * other, axis=0)))
+
     def test_stage_one_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):
             qr_stage_one(np.array([[1.0], [np.nan]]), np.ones(2))
@@ -697,7 +727,7 @@ class TestLeastSquares:
         x_ref, _, cond_ref = _reference_lsq(A, b)
         np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
-        assert res < 1e-12
+        assert res == 0.0
         assert cond == pytest.approx(cond_ref, rel=1e-2)
 
     def test_duplicate_column_truncates_like_reference(self):
@@ -705,13 +735,13 @@ class TestLeastSquares:
         A = rng.standard_normal((50, 8))
         A[:, 5] = 3.0 * A[:, 2]
         b = rng.standard_normal(50)
-        x, res, cond = least_squares_solve(A, b, on_deficient="truncate")
+        assert least_squares_solve(A, b) is None
+        x, res, cond, rank = pivoted_qr_solve(A, b)
         x_ref, res_ref, cond_ref = _reference_lsq(A, b, on_deficient="truncate")
         assert np.count_nonzero(x_ref == 0.0) == 1
-        assert np.array_equal(x == 0.0, x_ref == 0.0)
-        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
-        assert res == pytest.approx(res_ref, rel=1e-12)
-        assert cond == pytest.approx(cond_ref, rel=1e-2)
+        assert rank == 7
+        assert np.array_equal(x, x_ref)
+        assert res == res_ref and cond == cond_ref
 
     @pytest.mark.parametrize("where", ["A", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -723,8 +753,48 @@ class TestLeastSquares:
             A[3, 1] = bad
         else:
             b[7] = bad
-        with pytest.raises(ValueError):
-            least_squares_solve(A, b)
+        for solve in (least_squares_solve, pivoted_qr_solve):
+            with pytest.raises(ValueError):
+                solve(A, b)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_residual_from_the_factor(self, dtype):
+        # the residual is the last diagonal entry of the stage-one factor of
+        # [A | b], not a product with A, so it agrees with one to rounding
+        for n, log_ratio, seed in ((6, 0.0, 31), (40, 4.0, 32), (120, 8.0, 33)):
+            A, b = _spread_system(n, log_ratio, seed=seed, dtype=dtype)
+            x, res, _ = least_squares_solve(A, b)
+            assert res == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-8)
+        A, b = _spread_system(12, 2.0, seed=34, extra_rows=0, dtype=dtype)
+        x, res, _ = least_squares_solve(A, b)
+        assert res == 0.0
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pivoted_solve_is_the_reference_bit_for_bit(self, dtype):
+        # near the rank edge, past the rank tolerance and with a duplicate
+        # column, for every layout of A and a gather of its columns
+        rng = np.random.default_rng(35)
+        duplicate, _ = _spread_system(30, 2.0, seed=36, dtype=dtype)
+        duplicate[:, 17] = (1.5 - 0.5j if dtype is complex else 1.5) * duplicate[:, 4]
+        systems = [_spread_system(40, 10.5, seed=37, extra_rows=260, dtype=dtype),
+                   _spread_system(40, 14.0, seed=38, dtype=dtype),
+                   (duplicate, rng.standard_normal(70).astype(dtype))]
+        ranks = []
+        for A, b in systems:
+            assert least_squares_solve(A, b) is None
+            # the solves take a complex A column-major, a real one row-major
+            fixed = np.asfortranarray(A) if dtype is complex else A
+            x_ref, res_ref, cond_ref = _reference_lsq(fixed, b, on_deficient="truncate")
+            wide = rng.standard_normal((A.shape[0], 70)).astype(dtype)
+            cols = rng.permutation(70)[: A.shape[1]]
+            wide[:, cols] = A
+            for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
+                x, res, cond, rank = pivoted_qr_solve(other, b)
+                assert np.array_equal(x, x_ref)
+                assert res == res_ref and cond == cond_ref
+            ranks.append(rank)
+        assert ranks == [40, 37, 29]
 
 
 class TestComplexLeastSquares:
@@ -781,14 +851,14 @@ class TestComplexLeastSquares:
         assert res == pytest.approx(res_ref, rel=1e-10)
 
     def test_guard_and_fallback(self):
-        # past the two-stage margin, fallback=False leaves the system to the
-        # caller and the default solves it by the single-stage pivoted QR
+        # past the two-stage margin the guarded solve returns None, and the
+        # pivoted solve is the single-stage reference
         A, b = _spread_system(40, 10.5, seed=26, extra_rows=260, dtype=complex)
-        assert least_squares_solve(A, b, fallback=False) is None
-        x, res, cond = least_squares_solve(A, b)
+        assert least_squares_solve(A, b) is None
+        x, res, cond, rank = pivoted_qr_solve(A, b)
         # a complex A is solved in column-major order
         x_ref, res_ref, cond_ref = _reference_lsq(np.asfortranarray(A), b)
-        assert 1e9 < cond_ref < 1e12
+        assert 1e9 < cond_ref < 1e12 and rank == 40
         assert np.array_equal(x, x_ref)
         assert res == res_ref and cond == cond_ref
         # so any layout of it, or a gather of its columns, gives these bits
@@ -797,12 +867,12 @@ class TestComplexLeastSquares:
         cols = rng.permutation(70)[:40]
         wide[:, cols] = A
         for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
-            x_o, res_o, cond_o = least_squares_solve(other, b)
+            x_o, res_o, cond_o, _ = pivoted_qr_solve(other, b)
             assert np.array_equal(x_o, x) and res_o == res and cond_o == cond
-        # below the margin fallback=False changes nothing
+        # below the margin the guarded solve answers, for every layout too
         A, b = _spread_system(40, 6.0, seed=27, dtype=complex)
         x, res, cond = least_squares_solve(A, b)
-        x2, res2, cond2 = least_squares_solve(A, b, fallback=False)
+        x2, res2, cond2 = least_squares_solve(np.ascontiguousarray(A), b)
         assert np.array_equal(x, x2) and res == res2 and cond == cond2
 
     def test_rank_deficient_truncates(self):
@@ -810,12 +880,11 @@ class TestComplexLeastSquares:
         A = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
         A[:, 4] = (2.0 - 1.0j) * A[:, 1]
         b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        with pytest.raises(RankDeficient):
-            least_squares_solve(A, b)
-        x, _, _ = least_squares_solve(A, b, on_deficient="truncate")
-        x_ref, _, _ = _reference_lsq(A, b, on_deficient="truncate")
-        assert np.count_nonzero(x == 0.0) == 1
-        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert least_squares_solve(A, b) is None
+        x, _, _, rank = pivoted_qr_solve(A, b)
+        x_ref, _, _ = _reference_lsq(np.asfortranarray(A), b, on_deficient="truncate")
+        assert np.count_nonzero(x == 0.0) == 1 and rank == 5
+        assert np.array_equal(x, x_ref)
 
     def test_non_finite_input_rejected(self):
         A = np.ones((5, 2), dtype=complex)
@@ -824,6 +893,8 @@ class TestComplexLeastSquares:
             qr_stage_one(A, np.ones(5))
         with pytest.raises(ValueError, match="finite"):
             least_squares_solve(np.ones((5, 2)), np.full(5, complex(np.inf, 0.0)))
+        with pytest.raises(ValueError, match="finite"):
+            pivoted_qr_solve(A, np.ones(5))
 
 
 class TestDifferentiate:
