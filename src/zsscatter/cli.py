@@ -164,7 +164,6 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "collocation_count": info["collocation_count"],
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
         "selection_fallbacks": info.get("selection_fallbacks", 0),
-        "sweep_fallbacks": info["sweep_fallbacks"],
         "selection_rank_truncated": info.get("selection_rank_truncated", 0),
         "sweep_rank_truncated": info["sweep_rank_truncated"],
         "max_residual": info["max_residual"],

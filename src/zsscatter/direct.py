@@ -382,8 +382,9 @@ def scattering_to_json(sd: ScatteringData) -> str:
 def scattering_from_json(text: str) -> ScatteringData:
     """Parse scattering JSON; malformed or inconsistent input raises InvalidScatteringData.
 
-    ``n_terms`` must be an integer >= 0 (not a bool) and ``potential_desc``
-    a string; absent, they read as 0 and "".
+    The rho grid must hold at least 2 increasing points, ``n_terms`` must be
+    an integer >= 0 (not a bool) and ``potential_desc`` a string; absent,
+    they read as 0 and "".
     """
     try:
         payload = json.loads(text)
@@ -406,6 +407,8 @@ def scattering_from_json(text: str) -> ScatteringData:
         raise InvalidScatteringData(
             "rho, a_re, a_im, b_re and b_im must be lists of equal length"
         )
+    if rho.size < 2:
+        raise InvalidScatteringData(f"the rho grid needs at least 2 points, got {rho.size}")
     if not all(np.all(np.isfinite(v)) for v in (rho, a_re, a_im, b_re, b_im, ev_rho, norming)):
         raise InvalidScatteringData("scattering data holds non-finite values")
     if np.any(np.diff(rho) <= 0):

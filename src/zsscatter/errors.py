@@ -59,3 +59,7 @@ class UnstableSpectrum(ZSScatterError):
 
 class InvalidScatteringData(ZSScatterError):
     """Scattering JSON is malformed or inconsistent."""
+
+
+class UnderdeterminedSystem(ZSScatterError, ValueError):
+    """Inverse collocation system with K + M < N + 1; also a ValueError."""

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorNearZero, MissingSpectrumData, RankDeficient
+from .errors import DenominatorNearZero, MissingSpectrumData, RankDeficient, UnderdeterminedSystem
 from .jost import JostFactors, z_of_rho
 from .numerics import (
+    _RANK_TOL,
     UniformGrid,
     differentiate,
     least_squares_solve,
@@ -89,11 +90,11 @@ class RecoveredCoefficients:
 
     ``X`` holds, per x node, the real blocks Re b_n, Im b_n, Re a_n, Im a_n
     (n = 0..N) one after the other.  ``residuals`` and ``rhs_norms`` are
-    those of the real split of the collocation system (for a node solved
-    in complex form, the complex norms divided by sqrt 2, which is the same
-    number in exact arithmetic).  ``fell_back`` marks the nodes whose
-    complex solve failed the two-stage guard and were solved in real form,
-    and ``truncated`` those of them whose solve dropped rank.
+    those of the real split of the collocation system: the norms of its
+    complex form divided by sqrt 2, the same number in exact arithmetic.
+    ``conditions`` holds each node's ratio of largest to smallest pivot,
+    and ``truncated`` marks the nodes whose solve dropped pivots below
+    1e-12 of the largest, which are those with a condition above 1e12.
     """
 
     x_grid: UniformGrid
@@ -102,7 +103,6 @@ class RecoveredCoefficients:
     residuals: np.ndarray
     rhs_norms: np.ndarray
     conditions: np.ndarray
-    fell_back: np.ndarray
     truncated: np.ndarray
 
     def _block(self, i: int) -> np.ndarray:
@@ -184,12 +184,16 @@ class _FactorTables:
             theta = 2.0 * np.arctan(2.0 * rho_full)
             targets = np.linspace(theta[0], theta[-1], K)
             idx = np.unique(np.searchsorted(theta, targets).clip(0, rho_full.size - 1))
+        self.K = idx.size
+        self.M = sd.M
+        self.N = N
+        # checked before the tables, which grow with K N, are built
+        if self.K + self.M < N + 1:
+            raise UnderdeterminedSystem(f"system must be overdetermined: K + M >= N + 1, "
+                                        f"got K = {self.K}, M = {self.M} and N = {N}")
         self.rho = rho_full[idx]
         self.a = sd.a_values[idx]
         self.b = sd.b_values[idx]
-        self.K = self.rho.size
-        self.M = sd.M
-        self.N = N
         z = z_of_rho(self.rho.astype(complex))
         # column-major, as the complex system is: the per-node products then
         # run down contiguous columns (the values do not depend on the layout)
@@ -298,56 +302,37 @@ def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, n
     return _FactorTables(sd, N).assemble_real(x)
 
 
-def _require_overdetermined(tables: _FactorTables) -> None:
-    if tables.K + tables.M < tables.N + 1:
-        raise ValueError("system must be overdetermined: K + M >= N + 1")
-
-
 def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
-    """Solve every node in complex form by the guarded two-stage
-    ``least_squares_solve``.  A node past its guard is assembled as the
-    real split and solved by one ``pivoted_qr_solve``: near the rank edge,
-    where the answer turns on rounding, it keeps the bits of the real
-    rank-revealing solve that such nodes always got."""
-    _require_overdetermined(tables)
+    """Solve every node in complex form by one ``least_squares_solve``, whose
+    stage two drops the pivots below 1e-12 of the largest: such a node needs
+    no second solve, and is marked ``truncated`` (its condition exceeds 1e12)."""
     N = tables.N
     X = np.empty((grid.n_points, 4, N + 1))
     residuals = np.empty(grid.n_points)
     rhs_norms = np.empty(grid.n_points)
     conditions = np.empty(grid.n_points)
-    fell_back = np.zeros(grid.n_points, dtype=bool)
-    truncated = np.zeros(grid.n_points, dtype=bool)
     for j, x in enumerate(grid.nodes):
         C, r = tables.assemble(float(x))
         rhs_norms[j] = np.linalg.norm(r) / _SQRT2
-        solved = least_squares_solve(C, r)
-        if solved is None:
-            fell_back[j] = True
-            A, B = tables.assemble_real(float(x))
-            sol, residuals[j], conditions[j], truncated[j] = _solve_node(A, B, x)
-            X[j] = sol.reshape(4, N + 1)
-        else:
-            sol, res, conditions[j] = solved
-            residuals[j] = res / _SQRT2
-            b, a = sol[0::2], sol[1::2]
-            X[j] = b.real, b.imag, a.real, a.imag
+        try:
+            sol, res, conditions[j] = least_squares_solve(C, r)
+        except RankDeficient as exc:
+            raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
+        residuals[j] = res / _SQRT2
+        b, a = sol[0::2], sol[1::2]
+        X[j] = b.real, b.imag, a.real, a.imag
     return RecoveredCoefficients(
         x_grid=grid, N=N, X=X.reshape(grid.n_points, -1), residuals=residuals,
-        rhs_norms=rhs_norms, conditions=conditions, fell_back=fell_back,
-        truncated=truncated,
+        rhs_norms=rhs_norms, conditions=conditions,
+        truncated=conditions > 1.0 / _RANK_TOL,
     )
 
 
-def _solve_node(A: np.ndarray, B: np.ndarray, x: float):
-    """(x, residual, cond, truncated) of ``pivoted_qr_solve`` on a node's system."""
-    try:
-        # reflectionless data leaves some coefficient columns supported
-        # only by the handful of eigenvalue rows; the solve drops those
-        # pivots instead of failing the whole sweep
-        sol, res, cond, rank = pivoted_qr_solve(A, B)
-    except RankDeficient as exc:
-        raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
-    return sol, res, cond, rank < A.shape[1]
+# Stage-two condition from which the selection solves a candidate on its own
+# columns: nearer the rank edge, rounding in the shared, unpivoted stage one
+# can flip the rank decision, and the chosen N rests on these bits (truncating
+# in stage two everywhere picked N = 80 on ex2, against 60).
+_NESTED_COND_MAX = 1e9
 
 
 def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: int):
@@ -365,11 +350,12 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     the largest candidate's, bit for bit, since the power columns come from
     a sequential recurrence and the products are elementwise.  So one
     stage-one QR per node (``qr_stage_one``) serves every candidate, and
-    stage two runs on each candidate's leading triangle.  Where stage two
-    fails its guard, that candidate and the larger ones at the node are
-    solved by ``pivoted_qr_solve`` on their own columns in the sweep's
-    block order, which is exactly the fallback solve of a real
-    per-candidate sweep.
+    stage two runs on each candidate's leading triangle.  Where its
+    condition is not below ``_NESTED_COND_MAX`` = 1e9, that candidate and
+    the larger ones at the node are solved by ``pivoted_qr_solve`` on their
+    own columns in the sweep's block order, the bits of a real
+    per-candidate solve.  Only the selection keeps this guard; the sweep's
+    one solve per node truncates in stage two.
 
     The selection stays on the real split.  eps(N) on the plateau past the
     optimal N is rounding noise, and the complex form lowers it (on ex1,
@@ -377,7 +363,6 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     which moves the argmin from 25 to 45 or 55.
     """
     top = _FactorTables(sd, candidates[-1], K)
-    _require_overdetermined(top)
     n1_top = top.N + 1
     # column of (block k, degree n) in the sweep's order is k (N + 1) + n
     block_cols = np.arange(4)[:, None] * n1_top + np.arange(n1_top)
@@ -391,16 +376,17 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
         nested = True
         for i, N in enumerate(candidates):
             if nested:
-                solved = qr_stage_two(factor, 4 * (N + 1))
-                nested = solved is not None
+                sol, cond = qr_stage_two(factor, 4 * (N + 1))
+                nested = cond < _NESTED_COND_MAX
             if nested:
-                order_zero[i, j] = solved[0][:4] / col_scale[:4]
+                order_zero[i, j] = sol[:4] / col_scale[:4]
             else:
                 fell_back[i, j] = True
                 # np.take gathers into the row-major layout that the solve
                 # would otherwise copy the columns into
                 own = np.take(A, block_cols[:, : N + 1].ravel(), axis=1)
-                sol, _, _, truncated[i, j] = _solve_node(own, B, x)
+                sol, _, _, rank = pivoted_qr_solve(own, B)
+                truncated[i, j] = rank < own.shape[1]
                 order_zero[i, j] = sol[:: N + 1]
     return order_zero, fell_back, truncated
 
@@ -419,10 +405,10 @@ def select_truncation_inverse(
 
     Returns (N, eps_table, fallbacks, truncated), ``eps_table`` keyed by
     candidate in increasing order, ``fallbacks`` the number of
-    node-candidate solves whose pivot ratio failed the two-stage guard of
-    :func:`~zsscatter.numerics.least_squares_solve` and were solved on
-    their own by :func:`~zsscatter.numerics.pivoted_qr_solve`, and
-    ``truncated`` the number of those that dropped rank.
+    node-candidate solves whose nested stage-two condition was 1e9 or more
+    and that were solved on their own by
+    :func:`~zsscatter.numerics.pivoted_qr_solve`, and ``truncated`` the
+    number of those that dropped rank.
     """
     grid = cfg.selection_grid()
     candidates = sorted({int(n) for n in cfg.candidates})
@@ -490,7 +476,6 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     # fewer distinct points than cfg.K may enter the solve
     info["collocation_count"] = tables.K
     coeffs = _solve_sweep(tables, cfg.x_grid())
-    info["sweep_fallbacks"] = int(np.count_nonzero(coeffs.fell_back))
     info["sweep_rank_truncated"] = int(np.count_nonzero(coeffs.truncated))
     info["max_residual"] = float(np.max(coeffs.residuals))
     info["max_condition"] = float(np.max(coeffs.conditions))

@@ -297,15 +297,11 @@ def polynomial_roots(coeffs) -> np.ndarray:
 # Smallest pivot, relative to the largest, of a numerically full-rank
 # (equilibrated) system.
 _RANK_TOL = 1e-12
-# Pivot ratio the two-stage solve must clear, in units of _RANK_TOL.  Closer
-# to the rank edge, rounding in the unpivoted first stage could flip the rank
-# decision, so such systems are left to pivoted_qr_solve.
-_TWO_STAGE_MARGIN = 1e3
 # Block size of the first-stage QR (LAPACK geqrt, recursive panels).
 _QR_BLOCK = 32
 
 
-def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Minimize ||Ax - b||_2 by a QR of [A | b], then pivoted QR of its triangle.
 
     A and b may be real or complex; a complex system is solved in complex
@@ -315,24 +311,22 @@ def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     residual norm.  Stage two (:func:`qr_stage_two`) is a column-pivoted QR
     of R0, which has the column norms of A, so its pivots and condition
     estimate are those of a pivoted QR of A in exact arithmetic (T. F. Chan,
-    ACM TOMS 8, 1982).  Neither stage forms its Q.
+    ACM TOMS 8, 1982), and it drops rank as that would.  Neither stage
+    forms its Q.
 
-    Returns (x, residual_norm, condition_estimate), the estimate being the
-    ratio of extreme pivots, or None when the smallest pivot does not exceed
-    ``1e3 * _RANK_TOL`` = 1e-9 times the largest; such a system is for
-    :func:`pivoted_qr_solve`.  Any layout of A gives the same bits.  NaN or
-    inf in A or b raises ValueError.
+    Returns (x, residual_norm, condition_estimate), the estimate as
+    :func:`qr_stage_two` gives it and the residual that of the returned x,
+    read from the factors: |R0[n, n]| (0 when m == n) combined with the
+    part of Q^H b on the dropped pivots.  Any layout of A gives the same
+    bits.  NaN or inf in A or b raises ValueError.
     """
     factor, col_scale = qr_stage_one(*_fixed_layout(A, b))
     n = col_scale.size
-    solved = qr_stage_two(factor, n)
-    if solved is None:
-        return None
-    x, cond = solved
+    x, cond, dropped = _stage_two(factor, n)
     x /= col_scale
     # R of [A | b] ends in the norm of the part of b outside the range of A
     residual = float(abs(factor[n, n])) if factor.shape[0] > n else 0.0
-    return x, residual, cond
+    return x, float(np.hypot(residual, dropped)), cond
 
 
 def _solve_dtype(A, b) -> np.dtype:
@@ -343,7 +337,7 @@ def _solve_dtype(A, b) -> np.dtype:
 def _fixed_layout(A, b) -> tuple[np.ndarray, np.ndarray]:
     """A and b in their solve dtype, A in the one layout the solves take.
 
-    The column norms, and past the guard the rank decision, depend on the
+    The column norms, and with them the rank decision, depend on the
     summation order, so a real A is taken row-major, as it always was, and
     a complex A column-major, the order LAPACK factors."""
     dtype = _solve_dtype(A, b)
@@ -421,7 +415,7 @@ def _pivoted_qr_raw(a: np.ndarray):
     return h, tau, jpvt
 
 
-def qr_stage_two(factor: np.ndarray, n: int):
+def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
 
     A column-pivoted QR (LAPACK geqp3, see ``_pivoted_qr_raw``) of the
@@ -429,18 +423,30 @@ def qr_stage_two(factor: np.ndarray, n: int):
     form; LAPACK ormqr (unmqr for a complex factor) applies their
     (conjugate) transpose to the first n entries of the factor's last
     column, and R is solved by back substitution.  Q is never formed.
+    Pivots below ``_RANK_TOL`` times the largest are dropped and their
+    entries of x set to zero (a basic solution).
 
     Returns (x, cond) of the equilibrated system (divide x by the leading
-    n entries of ``col_scale`` for the solution of A x = b), or None when
-    the smallest pivot of the triangle does not exceed ``1e3 * _RANK_TOL``
-    times the largest, where the caller must solve by other means.
+    n entries of ``col_scale`` for the solution of A x = b), ``cond`` the
+    ratio of extreme pivots of the whole triangle: above 1 / ``_RANK_TOL``
+    = 1e12 exactly when pivots were dropped, inf for a zero pivot.  Raises
+    RankDeficient if every pivot is zero.
     """
+    x, cond, _ = _stage_two(factor, n)
+    return x, cond
+
+
+def _stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
+    """:func:`qr_stage_two`'s (x, cond) and the norm of Q^H b on the dropped pivots."""
     # the transpose of a lower triangle is a column-major upper one, which
     # geqp3 overwrites in place instead of copying
     h, tau, perm = _pivoted_qr_raw(np.tril(factor[:n, :n].T).T)
     diag = np.abs(np.diagonal(h))
-    if not diag.min() > _TWO_STAGE_MARGIN * _RANK_TOL * diag.max():
-        return None
+    dmax = diag.max()
+    if not dmax > 0.0:
+        raise RankDeficient("every pivot of the triangular factor is zero")
+    # pivoting pushes deficient columns to the back; keep the leading block
+    rank = int(np.count_nonzero(diag >= _RANK_TOL * dmax))
     # lwork = 1 selects the unblocked reflector loop, the cheap one for one column
     if h.dtype.kind == "c":
         ormqr, trans = scipy.linalg.lapack.zunmqr, "C"
@@ -449,20 +455,21 @@ def qr_stage_two(factor: np.ndarray, n: int):
     qtc, _, info = ormqr("L", trans, h, tau, factor[:n, -1:], 1)
     if info != 0:
         raise ValueError(f"ormqr/unmqr failed with info = {info}")
-    x = np.empty(n, h.dtype)
+    x = np.zeros(n, h.dtype)
     # back substitution reads only the upper triangle, R; below it lie the reflectors
-    x[perm] = scipy.linalg.solve_triangular(h, qtc[:, 0])
-    return x, float(diag.max() / diag.min())
+    x[perm[:rank]] = scipy.linalg.solve_triangular(h[:rank, :rank], qtc[:rank, 0])
+    dropped = float(np.linalg.norm(qtc[rank:, 0]))  # 0.0 if none were
+    dmin = diag.min()
+    return x, float(dmax / dmin) if dmin > 0.0 else np.inf, dropped
 
 
 def pivoted_qr_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     """Minimize ||Ax - b||_2 by one column-pivoted QR of the equilibrated A.
 
-    The rank-revealing solve for systems past the guard of
-    :func:`least_squares_solve`: pivots below ``_RANK_TOL`` times the
-    largest are dropped and their entries of x set to zero (a basic
-    solution).  Q is explicit (``scipy.linalg.qr``); the inverse
-    N-selection's choice on its rounding-noise plateau rests on these bits.
+    The inverse N-selection's solve past its guard: pivots below
+    ``_RANK_TOL`` times the largest are dropped and their entries of x set
+    to zero (a basic solution).  Q is explicit (``scipy.linalg.qr``); the
+    selection's choice on its rounding-noise plateau rests on these bits.
     Returns (x, residual_norm, condition_estimate, rank), the estimate over
     the kept pivots.  Any layout of A gives the same bits.  Raises
     RankDeficient if A = 0.

@@ -77,6 +77,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "Error" in capsys.readouterr().err or True
 
 
+def test_underdetermined_inverse_exits_2(tmp_path, capsys):
+    # 40 rho points cannot fit the 101 degrees of the largest candidate N
+    code = run(["roundtrip", "--potential", "preset:zero", "--grid-points", "401",
+                "--half-width", "5", "--rho-count", "40", "--x-points", "11",
+                "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("UnderdeterminedSystem: system must be overdetermined")
+    assert err.count("\n") == 1
+
+
 def test_direct_zero(tmp_path, capsys):
     code = run(["direct", "--potential", "preset:zero",
                 "--grid-points", "401", "--rho-count", "200",
@@ -166,7 +177,7 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
     assert 0 < summary["collocation_count"] < 150
     assert summary["selection_fallbacks"] == 0
-    assert summary["sweep_fallbacks"] == 0
+    assert "sweep_fallbacks" not in summary
     assert summary["selection_rank_truncated"] == 0
     assert summary["sweep_rank_truncated"] == 0
 
@@ -213,6 +224,10 @@ def _scattering_text(drop=None, **changes):
     pytest.param(_scattering_text(eigenvalues=[{"re": 0.0}]), id="missing-eigenvalue-part"),
     pytest.param(_scattering_text(a_re=[1.0, 1.0]), id="unequal-lengths"),
     pytest.param(_scattering_text(rho=[-1.0, 1.0, 0.0]), id="rho-not-increasing"),
+    pytest.param(_scattering_text(**{k: [] for k in ("rho", "a_re", "a_im", "b_re", "b_im")}),
+                 id="rho-empty"),
+    pytest.param(_scattering_text(rho=[0.0], a_re=[1.0], a_im=[0.0], b_re=[0.0], b_im=[0.0]),
+                 id="rho-one-point"),
     pytest.param(_scattering_text(b_re=[0.0, float("nan"), 0.0]), id="non-finite"),
     pytest.param(_scattering_text(eigenvalues=[{"re": 0.0, "im": -0.5}]),
                  id="eigenvalue-not-in-upper-half-plane"),

@@ -7,12 +7,22 @@ from scipy.interpolate import CubicSpline
 
 import zsscatter as zs
 from zsscatter.direct import Eigenvalue, ScatteringData
-from zsscatter.errors import DenominatorNearZero, MissingSpectrumData
+from zsscatter.errors import (
+    DenominatorNearZero,
+    MissingSpectrumData,
+    UnderdeterminedSystem,
+    ZSScatterError,
+)
 from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients, recover_potential, select_truncation_inverse
 from zsscatter.jost import z_of_rho
-from zsscatter.numerics import differentiate, least_squares_solve, pivoted_qr_solve
-from test_numerics import _reference_lsq, _reference_stage_two
+from zsscatter.numerics import (
+    differentiate,
+    least_squares_solve,
+    pivoted_qr_solve,
+    qr_stage_one,
+)
+from test_numerics import _matvec_error_bound, _reference_lsq, _reference_stage_two
 
 
 def _trivial_data(n_rho=400):
@@ -168,9 +178,9 @@ class TestSweepBuffers:
         assert np.array_equal(A0, A_ref) and np.array_equal(B0, B_ref)
 
     def test_no_real_split_without_a_fallback(self, sech_data):
+        # the sweep has no fallback: it never builds the real split
         tables = inverse._FactorTables(sech_data, 20)
-        coeffs = inverse._solve_sweep(tables, zs.UniformGrid(1.0, 11))
-        assert not coeffs.fell_back.any()
+        inverse._solve_sweep(tables, zs.UniformGrid(1.0, 11))
         assert tables._A is None
 
     def test_sweep_equals_fresh_per_node_solves(self, sech_data):
@@ -245,9 +255,10 @@ class TestSelection:
 
 
 def _real_node_solve(A, B):
-    """The real solve of a node, kept as a reference: the guarded two-stage
-    solve, and past its guard the pivoted one."""
-    return least_squares_solve(A, B) or pivoted_qr_solve(A, B)[:3]
+    """The real solve of a node, kept as a reference: the two-stage solve,
+    and at condition 1e9 or more, the selection's guard, the pivoted one."""
+    solved = least_squares_solve(A, B)
+    return solved if solved[2] < 1e9 else pivoted_qr_solve(A, B)[:3]
 
 
 def _real_sweep(sd, N, K, grid):
@@ -335,8 +346,7 @@ class TestNestedSelection:
         _, fell_back, _ = inverse._selection_order_zero(*args)
 
         def explicit_q(factor, n):
-            ref = _reference_stage_two(factor, n)
-            return None if ref is None else ref[:2]
+            return _reference_stage_two(factor, n)[:2]
 
         monkeypatch.setattr(inverse, "qr_stage_two", explicit_q)
         _, fell_back_ref, _ = inverse._selection_order_zero(*args)
@@ -406,7 +416,7 @@ class TestSweepKernel:
         grid = zs.UniformGrid(0.25, 21)
         fast = inverse._solve_sweep(inverse._FactorTables(sd, 25, 1000), grid)
         X_ref, res_ref, cond_ref = _real_sweep(sd, 25, 1000, grid)
-        assert not fast.fell_back.any() and cond_ref.max() < 1e3
+        assert not fast.truncated.any() and cond_ref.max() < 1e3
         scale = np.max(np.abs(X_ref), axis=1)
         assert np.all(np.max(np.abs(fast.X - X_ref), axis=1) <= 1e-12 * scale)
         # the condition estimates are pivot ratios of two different pivoted
@@ -419,42 +429,54 @@ class TestSweepKernel:
             _, B = _reference_assemble(inverse._FactorTables(sd, 25, 1000), float(x))
             assert fast.rhs_norms[j] == pytest.approx(np.linalg.norm(B), rel=1e-14)
 
-    def test_fallback_nodes_are_the_real_solves(self, ex1_direct):
-        # N = 90 on ex1 is past the two-stage guard at x = +-4.8 (condition
-        # above 1e9); there the sweep solves the real split, bit for bit
+    def test_truncated_nodes_are_the_truncating_solves(self, ex1_direct):
+        # N = 90 on ex1 is past the rank tolerance at these nodes of
+        # [-4.8, 4.8]; the complex solve drops pivots in stage two there,
+        # as the explicit-Q reference stage two on the same factor does
         _, sd = ex1_direct
         cfg = zs.InverseConfig(N=90, K=400, x_half_width=4.8, x_points=5)
         _, coeffs, info = zs.solve_inverse(sd, cfg)
-        fell_back = coeffs.fell_back
-        assert info["sweep_fallbacks"] == np.count_nonzero(fell_back) > 0
-        X_ref, res_ref, cond_ref = _real_sweep(sd, 90, 400, cfg.x_grid())
-        assert np.array_equal(coeffs.X[fell_back], X_ref[fell_back])
-        assert np.array_equal(coeffs.residuals[fell_back], res_ref[fell_back])
-        assert np.array_equal(coeffs.conditions[fell_back], cond_ref[fell_back])
-        assert np.all(cond_ref[fell_back] > 1e9)
-        # and these solves drop rank, which the sweep reports per node
-        tables = inverse._FactorTables(sd, 90, 400)
-        ranks = np.array([pivoted_qr_solve(*_reference_assemble(tables, float(x)))[3]
-                          for x in cfg.x_grid().nodes])
-        assert np.array_equal(coeffs.truncated, fell_back & (ranks < 4 * 91))
+        assert np.array_equal(coeffs.truncated, coeffs.conditions > 1e12)
         assert info["sweep_rank_truncated"] == np.count_nonzero(coeffs.truncated) > 0
+        tables = inverse._FactorTables(sd, 90, 400)
+        for j, x in enumerate(cfg.x_grid().nodes):
+            C, r = tables.assemble(float(x))
+            factor, col_scale = qr_stage_one(C, r)
+            sol, cond, R, _ = _reference_stage_two(factor, C.shape[1])
+            X_ref = _as_blocks(sol / col_scale)
+            assert coeffs.conditions[j] == cond
+            # the dropped unknowns are exactly zero
+            assert np.array_equal(coeffs.X[j] == 0.0, X_ref == 0.0)
+            # the two ways of applying Q^H differ by rounding, n u |c|, which
+            # the kept triangle amplifies by up to its condition
+            pivots = np.abs(np.diagonal(R))
+            kept = pivots[pivots >= 1e-12 * pivots.max()]
+            bound = C.shape[1] * np.finfo(float).eps * kept.max() / kept.min()
+            assert np.max(np.abs(coeffs.X[j] - X_ref)) <= bound * np.max(np.abs(X_ref))
+            # the residual is that of the returned solution, in the real split
+            A, B = _reference_assemble(tables, float(x))
+            res = coeffs.residuals[j]
+            assert abs(res - np.linalg.norm(A @ coeffs.X[j] - B)) <= (
+                1e-8 * res + _matvec_error_bound(A, coeffs.X[j]))
 
     def test_fallback_node_is_factored_once(self, ex1_direct, monkeypatch):
-        # a node past the guard of its complex solve gets one pivoted QR of
-        # its real split, with no real stage one or stage two before it
+        # a node near the rank edge gets its complex stage one and stage two
+        # and nothing else: no real split, no second solve
         _, sd = ex1_direct
         tables = inverse._FactorTables(sd, 90, 400)
         calls = _count_factorizations(monkeypatch)
         coeffs = inverse._solve_sweep(tables, zs.UniformGrid(4.8, 5))
-        assert coeffs.fell_back.all()
-        assert calls == [("geqrt", "D"), ("geqp3", "D"), ("qr", "d")] * 5
+        assert coeffs.truncated.any() and coeffs.conditions.min() > 1e9
+        assert calls == [("geqrt", "D"), ("geqp3", "D")] * 5
+        assert tables._A is None
 
     def test_no_fallbacks_on_the_benchmark_sweep(self, ex1_direct):
+        # no benchmark node comes near the selection's 1e9 guard
         _, sd = ex1_direct
         cfg = zs.InverseConfig(N=25, x_half_width=0.25, x_points=101)
         _, coeffs, info = zs.solve_inverse(sd, cfg)
-        assert info["sweep_fallbacks"] == info["sweep_rank_truncated"] == 0
-        assert not coeffs.fell_back.any() and not coeffs.truncated.any()
+        assert info["sweep_rank_truncated"] == 0
+        assert not coeffs.truncated.any() and coeffs.conditions.max() < 1e9
 
     def test_solve_does_not_depend_on_the_layout_of_a(self, ex1_direct):
         # past the two-stage guard, a column-major A or a gather of the
@@ -530,8 +552,7 @@ class TestRecovery:
         coeffs = RecoveredCoefficients(
             x_grid=g, N=1, X=X,
             residuals=np.zeros(41), rhs_norms=np.ones(41),
-            conditions=np.ones(41), fell_back=np.zeros(41, dtype=bool),
-            truncated=np.zeros(41, dtype=bool),
+            conditions=np.ones(41), truncated=np.zeros(41, dtype=bool),
         )
         with pytest.raises(DenominatorNearZero):
             recover_potential(coeffs)
@@ -571,5 +592,18 @@ class TestRecovery:
     def test_underdetermined_config_rejected(self):
         sd = _trivial_data(n_rho=20)
         cfg = zs.InverseConfig(x_points=11, K=10, N=40)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             zs.solve_inverse(sd, cfg)
+        # a ValueError for library callers, a ZSScatterError (exit 2) for the CLI
+        assert isinstance(err.value, ZSScatterError)
+
+    @pytest.mark.parametrize("N", [3000, "auto"])
+    def test_underdetermined_rejected_before_the_tables(self, N, monkeypatch):
+        # the tables grow with K N, so the count is checked before they exist
+        def no_tables(z, N):
+            raise AssertionError("the tables were built")
+
+        monkeypatch.setattr(inverse.JostFactors, "collocation_columns", staticmethod(no_tables))
+        cfg = zs.InverseConfig(N=N, x_points=11, candidates=(5, 3000))
+        with pytest.raises(UnderdeterminedSystem, match="M = 0 and N = 3000"):
+            zs.solve_inverse(_trivial_data(n_rho=4000), cfg)

@@ -1,5 +1,7 @@
 """Kernel tests: quadrature, ODE sweeps, roots, least squares, derivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -494,15 +496,24 @@ def _reference_lsq(A, b, rank_tol=1e-12, on_deficient="raise"):
 def _reference_stage_two(factor, n, rank_tol=1e-12):
     """The stage two that formed Q explicitly, kept as a reference.
 
-    Returns (x, cond, R, perm), or None where the guard fails.
+    Pivots below ``rank_tol`` times the largest are dropped and their
+    entries of x set to 0.  Returns (x, cond, R, perm), cond over all pivots.
     """
     Q, R, perm = scipy.linalg.qr(np.triu(factor[:n, :n]), pivoting=True)
     diag = np.abs(np.diagonal(R))
-    if not diag.min() > 1e3 * rank_tol * diag.max():
-        return None
-    x = np.empty(n, factor.dtype)
-    x[perm] = scipy.linalg.solve_triangular(R, Q.T.conj() @ factor[:n, -1])
-    return x, float(diag.max() / diag.min()), R, perm
+    rank = int(np.count_nonzero(diag >= rank_tol * diag.max()))
+    x = np.zeros(n, factor.dtype)
+    x[perm[:rank]] = scipy.linalg.solve_triangular(
+        R[:rank, :rank], (Q.T.conj() @ factor[:n, -1])[:rank])
+    with np.errstate(divide="ignore"):
+        return x, float(diag.max() / diag.min()), R, perm
+
+
+def _matvec_error_bound(A, x):
+    """Rounding bound of ||A x - b|| evaluated in floating point: the
+    componentwise bound n u |A| |x| of the product (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5)."""
+    return A.shape[1] * np.finfo(float).eps * np.linalg.norm(np.abs(A) @ np.abs(x))
 
 
 def _spread_system(n, log_ratio, seed, extra_rows=40, dtype=float):
@@ -548,13 +559,29 @@ class TestLeastSquares:
         assert np.max(np.abs(A.T @ r)) < 1e-8 * np.linalg.norm(b)
 
     def test_rank_deficient_raises(self):
-        # the guarded solve leaves a deficient system to the pivoted one,
-        # which raises only when no pivot is left
+        # a deficient system is truncated; only one with no pivot left raises
         A = np.ones((4, 2))  # identical columns
-        assert least_squares_solve(A, np.ones(4)) is None
+        x, _, cond = least_squares_solve(A, np.ones(4))
+        assert np.count_nonzero(x == 0.0) == 1 and cond > 1e12
         assert pivoted_qr_solve(A, np.ones(4))[3] == 1
+        for solve in (least_squares_solve, pivoted_qr_solve):
+            with pytest.raises(RankDeficient):
+                solve(np.zeros((4, 2)), np.ones(4))
         with pytest.raises(RankDeficient):
-            pivoted_qr_solve(np.zeros((4, 2)), np.ones(4))
+            qr_stage_two(qr_stage_one(np.zeros((4, 2)), np.ones(4))[0], 2)
+
+    def test_zero_pivot_gives_infinite_condition_without_a_warning(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((10, 3))
+        A[:, 1] = 0.0
+        b = rng.standard_normal(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, res, cond = least_squares_solve(A, b)
+        assert cond == np.inf and x[1] == 0.0
+        x_ref = np.linalg.lstsq(A[:, [0, 2]], b, rcond=None)[0]
+        np.testing.assert_allclose(x[[0, 2]], x_ref, rtol=1e-12, atol=0.0)
+        assert res == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-12)
 
     def test_rank_deficient_truncates_on_request(self):
         A = np.zeros((4, 3))
@@ -564,6 +591,10 @@ class TestLeastSquares:
         b = np.array([2.0, 2.0, 4.0, 4.0])
         x, res, _, rank = pivoted_qr_solve(A, b)
         assert rank == 2
+        assert res < 1e-12
+        assert np.allclose(A @ x, b)
+        x, res, cond = least_squares_solve(A, b)
+        assert np.count_nonzero(x == 0.0) == 1 and cond > 1e12
         assert res < 1e-12
         assert np.allclose(A @ x, b)
 
@@ -585,8 +616,9 @@ class TestLeastSquares:
         assert cond == pytest.approx(cond_ref, rel=1e-2)
 
     def test_near_rank_edge_is_the_reference_solve(self):
-        # a pivot ratio between 1e9 and 1e12 is below the two-stage margin
-        # but above rank_tol, so the single-stage solve answers exactly
+        # a pivot ratio between 1e9 and 1e12 is past the selection's guard
+        # but above rank_tol: the two-stage solve keeps every pivot, and the
+        # single-stage solve the selection falls back to answers exactly
         rng = np.random.default_rng(9)
         U = np.linalg.qr(rng.standard_normal((300, 40)))[0]
         V = np.linalg.qr(rng.standard_normal((40, 40)))[0]
@@ -594,7 +626,9 @@ class TestLeastSquares:
         b = rng.standard_normal(300)
         x_ref, res_ref, cond_ref = _reference_lsq(A, b)
         assert 1e9 < cond_ref < 1e12
-        assert least_squares_solve(A, b) is None
+        x, res, cond = least_squares_solve(A, b)
+        assert 1e9 < cond < 1e12 and np.all(x != 0.0)
+        assert res == pytest.approx(res_ref, rel=1e-6)
         x, res, cond, rank = pivoted_qr_solve(A, b)
         assert np.array_equal(x, x_ref)
         assert res == res_ref
@@ -625,15 +659,18 @@ class TestLeastSquares:
             np.testing.assert_allclose(x / col_scale[:n], least_squares_solve(A[:, :n], b)[0],
                                        rtol=1e-12, atol=0.0)
         for n in range(17, 25):
-            # the pivot ratio lies between the rank tolerance and the margin
+            # the pivot ratio lies between the selection's guard and the
+            # rank tolerance, so every pivot is kept
             assert 1e9 < pivoted_qr_solve(A[:, :n], b)[2] < 1e12
-            assert qr_stage_two(factor, n) is None
-            assert least_squares_solve(A[:, :n], b) is None
+            x, cond = qr_stage_two(factor, n)
+            assert 1e9 < cond < 1e12 and np.all(x != 0.0)
+            assert 1e9 < least_squares_solve(A[:, :n], b)[2] < 1e12
 
     def test_factored_stage_two_matches_explicit_q(self, monkeypatch):
         # geqp3 sees the same triangle as in the explicit-Q reference, so R,
-        # the pivots, the guard and the condition are the same bits; only
-        # applying the reflectors to Q^T b moves x, at rounding level
+        # the pivots and the condition are the same bits, on both sides of
+        # the selection's 1e9 guard; only applying the reflectors to Q^T b
+        # moves x, at rounding level
         geqp3 = numerics._pivoted_qr_raw
         raw = []
 
@@ -650,18 +687,14 @@ class TestLeastSquares:
                 factor, _ = qr_stage_one(A, b)
                 ref = _reference_stage_two(factor, n)
                 raw.clear()
-                got = qr_stage_two(factor, n)
+                x, cond = qr_stage_two(factor, n)
                 assert len(raw) == 1
                 diag, perm = raw[0]
-                outcomes.add(got is None)
-                assert (got is None) == (ref is None), (n, log_ratio)
-                if ref is None:
-                    continue
                 x_ref, cond_ref, R_ref, perm_ref = ref
                 assert np.array_equal(diag, np.diagonal(R_ref))
                 assert np.array_equal(perm, perm_ref)
-                x, cond = got
-                assert cond == cond_ref
+                assert cond == cond_ref < 1e12
+                outcomes.add(cond < 1e9)
                 assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
         # both sides of the guard were taken
         assert outcomes == {True, False}
@@ -735,7 +768,12 @@ class TestLeastSquares:
         A = rng.standard_normal((50, 8))
         A[:, 5] = 3.0 * A[:, 2]
         b = rng.standard_normal(50)
-        assert least_squares_solve(A, b) is None
+        x, res, cond = least_squares_solve(A, b)
+        assert cond > 1e12 and np.count_nonzero(x == 0.0) == 1
+        # either column of the pair may be dropped; the fit is unique
+        x_ref, res_ref, _ = _reference_lsq(A, b, on_deficient="truncate")
+        np.testing.assert_allclose(A @ x, A @ x_ref, rtol=1e-10, atol=0.0)
+        assert res == pytest.approx(res_ref, rel=1e-10)
         x, res, cond, rank = pivoted_qr_solve(A, b)
         x_ref, res_ref, cond_ref = _reference_lsq(A, b, on_deficient="truncate")
         assert np.count_nonzero(x_ref == 0.0) == 1
@@ -782,7 +820,8 @@ class TestLeastSquares:
                    (duplicate, rng.standard_normal(70).astype(dtype))]
         ranks = []
         for A, b in systems:
-            assert least_squares_solve(A, b) is None
+            # past the selection's guard, which falls back to this solve
+            assert least_squares_solve(A, b)[2] > 1e9
             # the solves take a complex A column-major, a real one row-major
             fixed = np.asfortranarray(A) if dtype is complex else A
             x_ref, res_ref, cond_ref = _reference_lsq(fixed, b, on_deficient="truncate")
@@ -795,6 +834,41 @@ class TestLeastSquares:
                 assert res == res_ref and cond == cond_ref
             ranks.append(rank)
         assert ranks == [40, 37, 29]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_truncating_stage_two(self, dtype):
+        # seeded spread systems past the rank tolerance and a duplicate column
+        duplicate, _ = _spread_system(30, 2.0, seed=36, dtype=dtype)
+        duplicate[:, 17] = (1.5 - 0.5j if dtype is complex else 1.5) * duplicate[:, 4]
+        rng = np.random.default_rng(40)
+        systems = [_spread_system(40, 14.0, seed=38, dtype=dtype),
+                   _spread_system(40, 16.0, seed=39, dtype=dtype),
+                   (duplicate, rng.standard_normal(70).astype(dtype))]
+        dropped = []
+        for A, b in systems:
+            fixed = np.asfortranarray(A) if dtype is complex else A
+            factor, col_scale = qr_stage_one(fixed, b)
+            n = A.shape[1]
+            # stage two is the explicit-Q reference on the same triangle:
+            # the same pivots and rank decision, x to rounding
+            x, cond = qr_stage_two(factor, n)
+            x_ref, cond_ref, _, _ = _reference_stage_two(factor, n)
+            assert cond == cond_ref > 1e12
+            assert np.array_equal(x == 0.0, x_ref == 0.0)
+            assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+            # the whole solve drops as many pivots as one pivoted QR of A
+            x, res, cond = least_squares_solve(A, b)
+            assert np.array_equal(x == 0.0, x_ref == 0.0)
+            dropped.append(np.count_nonzero(x == 0.0))
+            x_single, _, _ = _reference_lsq(fixed, b, on_deficient="truncate")
+            assert dropped[-1] == np.count_nonzero(x_single == 0.0)
+            # and its residual is that of the returned x, to the rounding of
+            # the product that checks it
+            assert abs(res - np.linalg.norm(A @ x - b)) <= 1e-8 * res + _matvec_error_bound(A, x)
+        # on the duplicate column, where the fit is unique, it is the
+        # reference's; which column of the pair is dropped is not
+        np.testing.assert_allclose(A @ x, A @ x_single, rtol=1e-10, atol=0.0)
+        assert dropped == [3, 8, 1]
 
 
 class TestComplexLeastSquares:
@@ -851,10 +925,12 @@ class TestComplexLeastSquares:
         assert res == pytest.approx(res_ref, rel=1e-10)
 
     def test_guard_and_fallback(self):
-        # past the two-stage margin the guarded solve returns None, and the
-        # pivoted solve is the single-stage reference
+        # past the selection's 1e9 guard the two-stage solve keeps every
+        # pivot, and the pivoted solve the selection falls back to is the
+        # single-stage reference
         A, b = _spread_system(40, 10.5, seed=26, extra_rows=260, dtype=complex)
-        assert least_squares_solve(A, b) is None
+        x, _, cond = least_squares_solve(A, b)
+        assert 1e9 < cond < 1e12 and np.all(x != 0.0)
         x, res, cond, rank = pivoted_qr_solve(A, b)
         # a complex A is solved in column-major order
         x_ref, res_ref, cond_ref = _reference_lsq(np.asfortranarray(A), b)
@@ -869,7 +945,7 @@ class TestComplexLeastSquares:
         for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
             x_o, res_o, cond_o, _ = pivoted_qr_solve(other, b)
             assert np.array_equal(x_o, x) and res_o == res and cond_o == cond
-        # below the margin the guarded solve answers, for every layout too
+        # the two-stage solve gives the same bits for every layout too
         A, b = _spread_system(40, 6.0, seed=27, dtype=complex)
         x, res, cond = least_squares_solve(A, b)
         x2, res2, cond2 = least_squares_solve(np.ascontiguousarray(A), b)
@@ -880,11 +956,14 @@ class TestComplexLeastSquares:
         A = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
         A[:, 4] = (2.0 - 1.0j) * A[:, 1]
         b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        assert least_squares_solve(A, b) is None
         x, _, _, rank = pivoted_qr_solve(A, b)
-        x_ref, _, _ = _reference_lsq(np.asfortranarray(A), b, on_deficient="truncate")
+        x_ref, res_ref, _ = _reference_lsq(np.asfortranarray(A), b, on_deficient="truncate")
         assert np.count_nonzero(x == 0.0) == 1 and rank == 5
         assert np.array_equal(x, x_ref)
+        x, res, cond = least_squares_solve(A, b)
+        assert cond > 1e12 and np.count_nonzero(x == 0.0) == 1
+        np.testing.assert_allclose(A @ x, A @ x_ref, rtol=1e-10, atol=0.0)
+        assert res == pytest.approx(res_ref, rel=1e-10)
 
     def test_non_finite_input_rejected(self):
         A = np.ones((5, 2), dtype=complex)
