@@ -2,16 +2,18 @@
 
 The recurrence yields a_n(x), b_n(x) one order at a time, n = 0..N_max.
 a_n is integrated from x towards +a and b_n from -a towards x, so the
-series at x = 0 (``center_series``, all the direct problem needs) depends
-on a window of N_max nodes on either side of x = 0 only: the a-chain runs
-on the nodes from N_max left of x = 0 to +a, the b-chain on the nodes from
--a to N_max right of x = 0.  ``compute_coefficients`` runs both chains on
-the whole grid and stacks every order into the full x-table, which the
-tests use to check the series away from x = 0.
+series at x = 0 (all the direct problem needs) depends on a window of N_max
+nodes on either side of x = 0 only: the a-chain runs on the nodes from
+N_max left of x = 0 to +a, the b-chain on the nodes from -a to N_max right
+of x = 0.  ``center_series`` runs it to a given order; ``settled_series``
+stops it where the sum rules have settled.  ``compute_coefficients`` runs
+both chains on the whole grid and stacks every order into the full x-table,
+which the tests use to check the series away from x = 0.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -29,9 +31,26 @@ __all__ = [
     "center_series",
     "compute_coefficients",
     "select_truncation_direct",
+    "settled_series",
 ]
 
 DEFAULT_N_MAX = 250
+
+# The sum-rule stop of ``settled_series``: the recurrence ends at order n once
+# neither sum-rule defect has set a new minimum over the last STOP_WINDOW
+# orders and every one of those orders lies within STOP_FACTOR of that
+# defect's minimum.  Both rest on 408 eps curves of full N_max runs: the
+# reference examples 1-4, sech_amplitude at mu = 2.25, 2.31 and 2.37 and the
+# CLI default, 100 sech amplitudes in [0.6, 3.4] on [-30, 30] and 300 real
+# bump sums drawn as the direct tests draw them.  The rule moved N on none;
+# it stops examples 1 and 4 at orders 84 and 104, the three sech members at
+# 131 and 26 of the bump sums before N_max.  Without the plateau condition
+# (no new minimum for STOP_WINDOW orders as the whole rule) it moved N on 39
+# of the bump sums, whose defect falls again after a spell above its
+# minimum, and raised their unitarity defect up to 7000-fold (2.1e-10 to
+# 1.5e-6) and to as much as 3.6e-3.
+STOP_WINDOW = 50
+STOP_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +95,12 @@ class TruncationReport:
     @property
     def at_cap(self) -> bool:
         """Whether chosen_N is the highest order computed: the sum rules had
-        not settled below it."""
+        not settled below it.
+
+        eps_L and eps_R cover the orders computed.  ``settled_series`` stops
+        at least STOP_WINDOW orders past both argmins, so for its series
+        this holds only when no stop fired and chosen_N is N_max.
+        """
         return self.chosen_N == self.eps_L.size - 1
 
 
@@ -196,15 +220,85 @@ def center_series(
     nodes the series depends on: an overflow confined to nodes that cannot
     reach x = 0 within N_max orders does not raise.
     """
+    a = np.empty(N_max + 1, dtype=complex)
+    b = np.empty_like(a)
+    for n, (a_n, b_n) in enumerate(_center_orders(basis, p, N_max)):
+        a[n] = a_n
+        b[n] = b_n
+    return CoefficientSeries(a=a, b=b)
+
+
+def _center_orders(
+    basis: JostBasis, p: SampledPotential, N_max: int
+) -> Iterator[tuple[complex, complex]]:
+    """(a_n(0), b_n(0)) for n = 0..N_max, computed as they are drawn.
+
+    The arguments are checked at once, as by ``_recurrence``.
+    """
     c = p.grid.center_index
     reach = min(N_max, c)
     rows = _recurrence(basis, p, N_max, reach)
+    # x = 0 is node reach of the a-window, which starts at c - reach
+    return ((a_n[reach], b_n[c]) for a_n, b_n in rows)
+
+
+def settled_series(
+    basis: JostBasis, p: SampledPotential, N_max: int = DEFAULT_N_MAX
+) -> CoefficientSeries:
+    """The series at x = 0 up to the order where the sum rules settle.
+
+    Draws orders from the recurrence as ``center_series`` does and tracks
+    the sum-rule defects eps_L and eps_R of ``select_truncation_direct``.
+    It stops at the first order n at which, for both defects, the minimum
+    over orders 0..n lies at least STOP_WINDOW orders back and each of the
+    last STOP_WINDOW values is within STOP_FACTOR of it; otherwise it runs
+    to N_max.  The series holds orders 0..n, each bit for bit as in
+    ``center_series(basis, p, N_max)``, so the argmins that
+    ``select_truncation_direct`` takes over it lie at least STOP_WINDOW
+    orders below a stop.  The basis must reach min(N_max, c) nodes, as for
+    ``center_series``.
+    """
+    orders = _center_orders(basis, p, N_max)
+    # the two scalars are taken before the recurrence allocates its windows,
+    # so the whole-grid integral is not alive beside them
+    half_left, half_right = _half_line_integrals(p)
+    eps_L, eps_R = _SettlingDefect(half_left), _SettlingDefect(half_right)
     a = np.empty(N_max + 1, dtype=complex)
     b = np.empty_like(a)
-    for n, (a_n, b_n) in enumerate(rows):
-        a[n] = a_n[reach]  # x = 0 in the a-window, which starts at c - reach
-        b[n] = b_n[c]
+    for n, (a_n, b_n) in enumerate(orders):
+        a[n] = a_n
+        b[n] = b_n
+        eps_L.add(n, b_n)
+        eps_R.add(n, a_n)
+        if n - max(eps_L.last_event, eps_R.last_event) >= STOP_WINDOW:
+            # views: nothing is allocated beside the recurrence's windows
+            return CoefficientSeries(a=a[: n + 1], b=b[: n + 1])
     return CoefficientSeries(a=a, b=b)
+
+
+class _SettlingDefect:
+    """One sum-rule defect, fed one order at a time, for the stop rule.
+
+    ``last_event`` is the last order at which the defect set a new minimum
+    (its first order at that value, as argmin takes it) or rose above
+    STOP_FACTOR times its minimum.  A window of STOP_WINDOW orders without a
+    new minimum holds only orders after the minimum, so the window ending at
+    order n meets both conditions exactly when n - last_event >= STOP_WINDOW.
+    """
+
+    def __init__(self, target: complex):
+        self.target = target
+        self.partial = 0.0
+        self.low = math.inf
+        self.last_event = 0
+
+    def add(self, n: int, coefficient: complex) -> None:
+        # partial sums in cumsum's order, so each defect is the report's
+        self.partial += coefficient
+        eps = abs(self.partial - self.target)
+        if eps < self.low or eps > STOP_FACTOR * self.low:
+            self.last_event = n
+        self.low = min(self.low, eps)
 
 
 def compute_coefficients(
@@ -232,21 +326,24 @@ def select_truncation_direct(
     """Pick the direct-problem truncation order from the sum rules.
 
     eps_L(N) and eps_R(N) measure how far the partial sums of b_n(0) and
-    a_n(0) sit from the half-line integrals of q1; the report keeps the two
-    argmins (ties to smaller N) and exposes their maximum as chosen_N.
+    a_n(0) sit from half the half-line integrals of q1, for N = 0..N_max of
+    the series; the report keeps the two argmins (ties to smaller N) and
+    exposes their maximum as chosen_N.
     """
-    grid = p.grid
-    mid = grid.center_index
-    F = cumulative_integral_from_left(grid, p.q1)
-    int_left = F[mid]  # integral of q1 over [-a, 0]
-    int_right = F[-1] - F[mid]  # integral over [0, a]
-    b_partial = np.cumsum(series.b)
-    a_partial = np.cumsum(series.a)
-    eps_L = np.abs(b_partial - 0.5 * int_left)
-    eps_R = np.abs(a_partial - 0.5 * int_right)
+    half_left, half_right = _half_line_integrals(p)
+    eps_L = np.abs(np.cumsum(series.b) - half_left)
+    eps_R = np.abs(np.cumsum(series.a) - half_right)
     return TruncationReport(
         N_L=int(np.argmin(eps_L)),
         N_R=int(np.argmin(eps_R)),
         eps_L=eps_L,
         eps_R=eps_R,
     )
+
+
+def _half_line_integrals(p: SampledPotential) -> tuple[complex, complex]:
+    """Half the integrals of q1 over [-a, 0] and over [0, a]: the sums of
+    b_n(0) and of a_n(0) over all n."""
+    mid = p.grid.center_index
+    F = cumulative_integral_from_left(p.grid, p.q1)
+    return 0.5 * F[mid], 0.5 * (F[-1] - F[mid])

@@ -16,6 +16,7 @@ from .coeffs import (
     TruncationReport,
     center_series,
     select_truncation_direct,
+    settled_series,
 )
 from .errors import (
     DegenerateNormalization,
@@ -65,9 +66,10 @@ class ScatteringData:
     ``n_terms`` is the truncation order the data were computed with and
     ``potential_desc`` describes the potential; both are serialized.
     ``truncation`` is the sum-rule report when ``solve_direct`` picked the
-    order itself, and ``series`` holds a_n(0), b_n(0) for n = 0..N_max when
-    the data come from ``solve_direct``; neither is serialized, so both are
-    None for data read from JSON.
+    order itself, and ``series`` holds the a_n(0), b_n(0) that
+    ``solve_direct`` computed: orders 0..n_terms when n_terms was given,
+    else up to the order where the sum rules settled (N_max if they did
+    not).  Neither is serialized, so both are None for data read from JSON.
     """
 
     rho_grid: np.ndarray
@@ -280,11 +282,16 @@ def solve_direct(
 ) -> ScatteringData:
     """Full direct-problem pipeline for a sampled potential.
 
-    The basis is computed only N_max nodes past x = 0 on each side, and the
-    coefficient recurrence keeps only a_n(0), b_n(0) (``center_series``);
-    they are returned in ``ScatteringData.series``, the order used in
-    ``n_terms`` and, when the sum rules picked it, their report in
-    ``truncation`` (``truncation.at_cap`` flags an order at N_max).
+    The coefficient recurrence keeps only a_n(0), b_n(0), which up to order
+    k need the basis only k nodes past x = 0 on each side.  With
+    ``n_terms`` None the basis reaches N_max nodes, the recurrence runs
+    until both sum-rule defects have settled (``coeffs.settled_series``),
+    at most to N_max, and N is their argmin over the orders computed; the
+    report is in ``truncation`` (``truncation.at_cap`` flags N = N_max,
+    which only a run that did not settle can give).  With ``n_terms`` given,
+    the basis sweeps and the recurrence stop at order n_terms.  The series
+    is returned in ``ScatteringData.series`` and the order used in
+    ``n_terms``.
 
     ``N_max`` must be an integer >= 0 and ``n_terms`` None (pick N from the
     sum rules) or an integer 0 <= n_terms <= N_max, each of any
@@ -299,14 +306,16 @@ def solve_direct(
             f"n_terms must be None or an integer from 0 to N_max = {N_max}, got {n_terms!r}"
         )
     check_rho_grid(rho_max, rho_count)
-    basis = compute_basis(p, reach=N_max)
-    series = center_series(basis, p, N_max)
     if n_terms is None:
+        basis = compute_basis(p, reach=N_max)
+        series = settled_series(basis, p, N_max)
         truncation = select_truncation_direct(series, p)
         N = truncation.chosen_N
     else:
-        truncation = None
         N = int(n_terms)
+        basis = compute_basis(p, reach=N)
+        series = center_series(basis, p, N)
+        truncation = None
     rho_grid = np.linspace(-rho_max, rho_max, rho_count)
     a_vals, b_vals = scattering_coefficients(series, N, rho_grid)
     poly = a_polynomial(series, N)

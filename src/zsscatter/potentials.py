@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._output import write_csv
 from .errors import DomainTooSmall, NonRealPotential
@@ -166,6 +165,9 @@ def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
             qs.append(q)
     x_arr = np.asarray(xs)
     q_arr = np.asarray(qs)
+    # float() parses "nan" and "inf", and a NaN passes the ordering test below
+    if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(q_arr))):
+        raise NonRealPotential(f"{path}: x and q must be finite numbers")
     if x_arr.size < 4 or np.any(np.diff(x_arr) <= 0):
         raise NonRealPotential(f"{path}: x column must be strictly increasing with >= 4 rows")
     return x_arr, q_arr
@@ -195,6 +197,11 @@ def evaluate(spec: PotentialSpec, grid: UniformGrid) -> SampledPotential:
                 f"{spec.path}: data covers [{x_arr[0]:g}, {x_arr[-1]:g}], "
                 f"needs [-{grid.half_width:g}, {grid.half_width:g}]"
             )
+        # imported here: scipy.interpolate loads scipy.optimize too, which
+        # would make it the dearest import of the package, and only sampled
+        # potentials need it
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(x_arr, q_arr)
         q = spline(grid.nodes)
         qp = differentiate(grid, q).real

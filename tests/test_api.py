@@ -1,4 +1,8 @@
-"""The top-level package: what it exports."""
+"""The top-level package: what it exports and what importing it loads."""
+
+import os
+import subprocess
+import sys
 
 import zsscatter as zs
 
@@ -23,3 +27,12 @@ def test_every_public_name_resolves():
     for name in PUBLIC:
         assert namespace[name] is getattr(zs, name)
         assert getattr(zs, name).__module__.startswith("zsscatter.")
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # only sampled potentials need the spline, and scipy.interpolate pulls in
+    # scipy.optimize; a fresh interpreter, since other tests import it
+    src = os.path.dirname(os.path.dirname(zs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, zsscatter; assert 'scipy.interpolate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

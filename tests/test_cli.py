@@ -77,6 +77,22 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "Error" in capsys.readouterr().err or True
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_csv_sample_exits_2(tmp_path, capsys, value):
+    x = np.linspace(-3.0, 3.0, 61)
+    q = [f"{v:.6f}" for v in np.exp(-x * x)]
+    q[30] = value
+    path = tmp_path / "q.csv"
+    path.write_text("x,q\n" + "".join(f"{a:.2f},{b}\n" for a, b in zip(x, q)))
+    code = run(["direct", "--potential", f"file:{path}", "--half-width", "2",
+                "--grid-points", "401", "--rho-count", "200",
+                "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("NonRealPotential: ")
+    assert err.count("\n") == 1
+
+
 def test_underdetermined_inverse_exits_2(tmp_path, capsys):
     # 40 rho points cannot fit the 101 degrees of the largest candidate N
     code = run(["roundtrip", "--potential", "preset:zero", "--grid-points", "401",

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import zsscatter as zs
-from zsscatter.coeffs import center_series, select_truncation_direct
+from zsscatter.coeffs import (
+    STOP_FACTOR,
+    STOP_WINDOW,
+    center_series,
+    select_truncation_direct,
+    settled_series,
+)
 from zsscatter.errors import NonFiniteValue
 from zsscatter.numerics import cumulative_integral_from_left, cumulative_integral_from_right
 
@@ -227,6 +233,39 @@ def test_short_reach_is_rejected(small_case):
     assert zs.compute_basis(p, reach=10**6).reach == p.grid.center_index
 
 
+def _reference_stop(report):
+    """The sum-rule stop read off whole eps curves, as the rule is stated: the
+    first n at which, for eps_L and eps_R, the argmin over 0..n lies at least
+    STOP_WINDOW orders back and the last STOP_WINDOW values stay within
+    STOP_FACTOR of the minimum; the last order if there is none."""
+    for n in range(report.eps_L.size):
+        if all(n - np.argmin(eps[: n + 1]) >= STOP_WINDOW
+               and eps[n + 1 - STOP_WINDOW: n + 1].max() <= STOP_FACTOR * eps[: n + 1].min()
+               for eps in (report.eps_L, report.eps_R)):
+            return n
+    return report.eps_L.size - 1
+
+
+@pytest.mark.parametrize("preset,params,grid,stops", [
+    ("sech_scaled", {"mu": np.pi}, (15.0, 4001), True),
+    ("sech_amplitude", {"mu": 2.3}, (30.0, 6001), True),
+    ("sech_amplitude", {"mu": 1.2}, (30.0, 6001), True),
+    ("example4", {}, (15.0, 4001), False),
+])
+def test_settled_series_stops_where_the_rule_says(preset, params, grid, stops):
+    p = zs.evaluate(zs.PotentialSpec(preset=preset, params=params), zs.UniformGrid(*grid))
+    basis = zs.compute_basis(p, reach=250)
+    full = center_series(basis, p, 250)
+    stop = _reference_stop(select_truncation_direct(full, p))
+    assert (stop < 250) == stops
+    series = settled_series(basis, p, 250)
+    assert series.N_max == stop
+    assert np.array_equal(series.a, full.a[: stop + 1])
+    assert np.array_equal(series.b, full.b[: stop + 1])
+    # below the window no stop can fire
+    assert settled_series(basis, p, STOP_WINDOW - 1).N_max == STOP_WINDOW - 1
+
+
 def test_direct_solve_sweeps_only_the_windows(monkeypatch):
     steps = []
     original = zs.basis.integrate_linear_ode2
@@ -246,3 +285,9 @@ def test_direct_solve_sweeps_only_the_windows(monkeypatch):
     steps.clear()
     zs.solve_direct(p, rho_count=400, N_max=N_max)
     assert sum(steps) <= 2 * (n - 1) + 4 * (N_max + 1)
+    # a fixed order bounds the sweeps and the recurrence
+    for k in (25, 40):
+        steps.clear()
+        sd = zs.solve_direct(p, rho_count=400, N_max=N_max, n_terms=k)
+        assert sum(steps) <= 2 * (n - 1) + 4 * (k + 1)
+        assert sd.series.a.shape == sd.series.b.shape == (k + 1,)

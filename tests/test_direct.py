@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zsscatter as zs
-from zsscatter.coeffs import DEFAULT_N_MAX, CoefficientTable, center_series
+from zsscatter.coeffs import (
+    DEFAULT_N_MAX,
+    CoefficientTable,
+    center_series,
+    select_truncation_direct,
+)
 from zsscatter.direct import (
     DISK_MARGIN,
     RESIDUAL_TOL,
@@ -223,8 +228,8 @@ def test_json_text_matches_per_element_writer(fixture, request):
 
 def test_series_is_kept_but_not_serialized(ex1_direct):
     _, sd = ex1_direct
-    assert sd.series.N_max == DEFAULT_N_MAX
-    assert sd.series.a.shape == sd.series.b.shape == (DEFAULT_N_MAX + 1,)
+    assert sd.n_terms <= sd.series.N_max
+    assert sd.series.a.shape == sd.series.b.shape == (sd.series.N_max + 1,)
     copy = zs.scattering_from_json(zs.scattering_to_json(sd))
     assert copy.series is None and copy.truncation is None
 
@@ -315,6 +320,18 @@ def test_truncation_at_cap_is_recorded(ex1_direct):
     assert sd.n_terms == 10
     assert sd.truncation.at_cap is True
     assert ex1_direct[1].truncation.at_cap is False
+
+
+def test_sum_rule_stop_on_the_fixtures(ex1_direct, ex2_direct, ex3_direct, ex4_direct):
+    # ex1 and ex4 settle well below the cap; ex2 picks N = 221 from a flat
+    # tail and ex3's eps_R still falls at N_max, so both run to the cap
+    computed = {name: fixture[1].series.N_max for name, fixture in
+                [("ex1", ex1_direct), ("ex2", ex2_direct), ("ex3", ex3_direct),
+                 ("ex4", ex4_direct)]}
+    assert computed["ex1"] < DEFAULT_N_MAX and computed["ex4"] < DEFAULT_N_MAX
+    assert computed["ex2"] == computed["ex3"] == DEFAULT_N_MAX
+    for _, sd in (ex1_direct, ex2_direct, ex3_direct, ex4_direct):
+        assert sd.truncation.eps_L.size == sd.truncation.eps_R.size == sd.series.N_max + 1
 
 
 def _two_solve_eigenvalues(poly, series, N, delta=DISK_MARGIN):
@@ -451,6 +468,37 @@ def _bump_potential(bumps):
         path = os.path.join(tmp, "q.csv")
         write_potential_csv(path, _BUMP_GRID, q)
         return zs.evaluate(zs.PotentialSpec(path=path), _BUMP_GRID)
+
+
+def _drawn_bumps(rng):
+    """A bump sum from the ranges of ``_bump_sums``, drawn by a seeded generator."""
+    return [(rng.choice(["sech", "gauss"]), rng.uniform(-1.5, 1.5), rng.uniform(0.3, 0.8),
+             rng.uniform(-2.0, 2.0)) for _ in range(rng.integers(1, 4))]
+
+
+def test_sum_rule_stop_keeps_the_full_argmin():
+    # the stop rule (coeffs.STOP_WINDOW, STOP_FACTOR) was read off measured
+    # eps curves, so it is checked on a fixed sample drawn like the two
+    # property tests: an input on which it moves N is a finding, not noise
+    rng = np.random.default_rng(14)
+    mus = [mu for mu in rng.uniform(0.6, 3.4, size=12) if _clear_of_half_integers(mu)]
+    potentials = [zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": mu}),
+                              zs.UniformGrid(30.0, 6001)) for mu in mus]
+    potentials += [_bump_potential(_drawn_bumps(rng)) for _ in range(20)]
+    computed = []
+    for p in potentials:
+        full = center_series(zs.compute_basis(p, reach=DEFAULT_N_MAX), p, DEFAULT_N_MAX)
+        report = select_truncation_direct(full, p)
+        sd = zs.solve_direct(p, rho_count=200)
+        k = sd.series.N_max
+        assert sd.n_terms == report.chosen_N, p.description
+        assert np.array_equal(sd.series.a, full.a[: k + 1]), p.description
+        assert np.array_equal(sd.series.b, full.b[: k + 1]), p.description
+        assert np.array_equal(sd.truncation.eps_L, report.eps_L[: k + 1]), p.description
+        assert np.array_equal(sd.truncation.eps_R, report.eps_R[: k + 1]), p.description
+        computed.append(k)
+    # the sech members all settle below the cap, so the stop is exercised
+    assert max(computed[: len(mus)]) < DEFAULT_N_MAX
 
 
 @given(_bump_sums)

@@ -94,6 +94,18 @@ def test_csv_rejects_complex(tmp_path):
         zs.evaluate(zs.PotentialSpec(path=str(path)), zs.UniformGrid(1.0, 11))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_csv_rejects_non_finite_samples(tmp_path, column, value):
+    # float() parses both, and a NaN x passes the ordering check
+    rows = [[f"{x:.2f}", f"{np.exp(-x * x):.6f}"] for x in np.linspace(-2.0, 2.0, 41)]
+    rows[20][column] = value
+    path = tmp_path / "q.csv"
+    path.write_text("x,q\n" + "".join(f"{x},{q}\n" for x, q in rows))
+    with pytest.raises(NonRealPotential, match="x and q must be finite numbers"):
+        zs.evaluate(zs.PotentialSpec(path=str(path)), zs.UniformGrid(1.0, 11))
+
+
 def test_decay_check_clean_for_zero():
     p = zs.evaluate(zs.PotentialSpec(preset="zero", params={}),
                     zs.UniformGrid(15.0, 301))
