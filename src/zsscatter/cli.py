@@ -56,7 +56,10 @@ def _add_inverse_options(sub):
     sub.add_argument("--x-half-width", type=float, default=8.0)
     sub.add_argument("--x-points", type=int, default=2001)
     sub.add_argument("--collocation", type=int, default=1000,
-                     help="collocation points drawn from the rho grid")
+                     help="at most this many collocation points, drawn from the rho "
+                          "grid; targets that land on one grid point count once, so "
+                          "fewer may be used (397 for 1000 on the default 4000-point "
+                          "grid), and collocation_count reports the number used")
     sub.add_argument("--inverse-n", default="auto",
                      help='inverse truncation order, or "auto"')
 

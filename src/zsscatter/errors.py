@@ -46,7 +46,7 @@ class DegenerateNormalization(ZSScatterError):
 
 
 class MissingSpectrumData(ZSScatterError):
-    """Eigenvalues present without matching norming constants."""
+    """Eigenvalues and norming constants that do not match one for one."""
 
 
 class DenominatorNearZero(ZSScatterError):

@@ -42,10 +42,11 @@ def _is_count(n) -> bool:
 class InverseConfig:
     """Settings for the inverse sweep.
 
-    The solve uses up to ``K`` distinct rho points of the scattering data:
-    ``K`` targets evenly spaced in theta = arg z(rho) are each moved to the
-    nearest grid node, and targets that land on one node count once.  The
-    number actually used is reported as ``info["collocation_count"]``.  ``N``
+    ``K`` bounds the distinct rho points the solve uses: ``K`` targets
+    evenly spaced in theta = arg z(rho) go to the nearest grid node, and
+    targets on one node count once (K = 1000 gives 397 on the default
+    4000-point rho grid).  ``info["collocation_count"]`` reports the number
+    used.  ``N``
     may be an integer >= 1 (any ``numbers.Integral`` but ``bool``) or
     "auto", in which case the Wronskian flatness criterion picks it from
     ``candidates`` (integers >= 1, in any order, repeats counted once) on
@@ -88,8 +89,8 @@ class InverseConfig:
 class RecoveredCoefficients:
     """Per-node solutions of the inverse sweep.
 
-    ``X`` holds, per x node, the real blocks Re b_n, Im b_n, Re a_n, Im a_n
-    (n = 0..N) one after the other.  ``residuals`` and ``rhs_norms`` are
+    ``X`` holds, per x node, Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N
+    (degree order).  ``residuals`` and ``rhs_norms`` are
     those of the real split of the collocation system: the norms of its
     complex form divided by sqrt 2, the same number in exact arithmetic.
     ``conditions`` holds each node's ratio of largest to smallest pivot,
@@ -105,27 +106,21 @@ class RecoveredCoefficients:
     conditions: np.ndarray
     truncated: np.ndarray
 
-    def _block(self, i: int) -> np.ndarray:
-        return self.X[:, i * (self.N + 1)]
-
     @property
     def re_b0(self) -> np.ndarray:
-        return self._block(0)
+        return self.X[:, 0]
 
     @property
     def im_b0(self) -> np.ndarray:
-        return self._block(1)
+        return self.X[:, 1]
 
     @property
     def re_a0(self) -> np.ndarray:
-        return self._block(2)
+        return self.X[:, 2]
 
     @property
     def im_a0(self) -> np.ndarray:
-        return self._block(3)
-
-    def wronskian_curve(self) -> np.ndarray:
-        return _wronskian_curve(self.re_b0, self.im_b0, self.re_a0, self.im_a0)
+        return self.X[:, 3]
 
 
 def _wronskian_curve(re_b0, im_b0, re_a0, im_a0) -> np.ndarray:
@@ -156,24 +151,26 @@ class _FactorTables:
 
     At each x node the collocation equations are complex rows s1, s2 (one
     pair per rho point) and s3, s4 (one pair per eigenvalue) acting on the
-    real unknowns Re b_n, Im b_n, Re a_n, Im a_n.  ``assemble_real`` writes
+    real unknowns Re b_n, Im b_n, Re a_n, Im a_n, taken in degree order:
+    unknown k of degree n is column 4 n + k.  ``assemble_real`` writes
     their real split, 4(K + M) x 4(N + 1).  The rows are complex-linear in
     b_n and a_n, so ``assemble`` writes them in complex form instead:
     unknowns b_0, a_0, b_1, a_1, ..., b_N, a_N and, per pair, the rows
     s1 + i s2 and conj(s1 - i s2) with right-hand sides to match.  Since
     |U|^2 + |V|^2 = (|U + iV|^2 + |U - iV|^2) / 2, this 2(K + M) x 2(N + 1)
-    system has the least-squares minimizer of the real split.
+    system has the least-squares minimizer of the real split, and its
+    solution read as reals is that split's unknowns in the same order.
 
-    The tables own the matrices of both forms and reuse them for every
-    node, so a sweep allocates no matrix-sized array per node; each form's
-    buffers are allocated at its first use.
+    Both forms are packed from one set of per-node products.  The tables
+    own both forms' matrices and reuse them for every node, so a sweep
+    allocates no matrix-sized array per node; each form's buffers are
+    allocated at its first use.
     """
 
     def __init__(self, sd: ScatteringData, N: int, K: int | None = None):
-        if sd.M > 0 and len(sd.norming_constants) != sd.M:
+        if len(sd.norming_constants) != sd.M:
             raise MissingSpectrumData(
-                "eigenvalues present without matching norming constants"
-            )
+                f"{len(sd.norming_constants)} norming constants for {sd.M} eigenvalues")
         rho_full = sd.rho_grid
         if K is None or K >= rho_full.size:
             idx = np.arange(rho_full.size)
@@ -208,6 +205,22 @@ class _FactorTables:
         self._C = None  # complex form, column-major as LAPACK factors it
         self._A = None  # real split
 
+    def _products(self, x: float, em_pz=None, pa=None, pb=None):
+        """The products the rows at x are packed from: em Pz, pa = -em aPzb
+        and pb = ep bPz (into the arrays given, else new ones), pm = emm Pzm,
+        qm = cep Pzm and the right-hand sides of s1, s2, s3, s4.  On
+        Re b_n, Im b_n, Re a_n, Im a_n the rows are s1 = [em Pz, 0, pa, pb],
+        s2 = [0, em Pz, -pb, pa], s3 = [pm, 0, 0, qm], s4 = [0, pm, -qm, 0]."""
+        em = np.exp(-1j * self.rho * x)
+        ep = np.conj(em)  # rho is real on the collocation grid
+        emm = np.exp(-1j * self.rho_m * x)
+        cep = self.c * np.exp(1j * self.rho_m * x)
+        return (np.multiply(em[:, None], self.Pz, out=em_pz),
+                np.multiply(-em[:, None], self.aPzb, out=pa),
+                np.multiply(ep[:, None], self.bPz, out=pb),
+                emm[:, None] * self.Pzm, cep[:, None] * self.Pzm,
+                [(self.a - 1.0) * em, self.b * ep, -emm, cep])
+
     def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """The complex system (C, r) at x; both are the tables' buffers,
         overwritten by the next call."""
@@ -218,86 +231,60 @@ class _FactorTables:
             self._pa = np.empty_like(self.Pz)
             self._pb = np.empty_like(self.Pz)
         C, r = self._C, self._r
-        em = np.exp(-1j * self.rho * x)
-        ep = np.conj(em)  # rho is real on the collocation grid
-        # s1 = [em Pz, 0, pa, pb] and s2 = [0, em Pz, -pb, pa] on the real
-        # blocks, with pa = -em aPzb and pb = ep bPz; so on (b_n, a_n)
-        # s1 + i s2 = [em Pz, pa - i pb] and conj(s1 - i s2) = conj[em Pz, pa + i pb]
+        # on (b_n, a_n): s1 + i s2 = [em Pz, pa - i pb] and
+        # conj(s1 - i s2) = conj[em Pz, pa + i pb]
         u, v = C[:K], C[K : 2 * K]
-        np.multiply(em[:, None], self.Pz, out=u[:, 0::2])
-        np.conjugate(u[:, 0::2], out=v[:, 0::2])
-        pa = np.multiply(-em[:, None], self.aPzb, out=self._pa)
-        pb = np.multiply(ep[:, None], self.bPz, out=self._pb)
+        em_pz, pa, pb, pm, qm, rhs = self._products(x, u[:, 0::2], self._pa, self._pb)
+        np.conjugate(em_pz, out=v[:, 0::2])
         np.multiply(pb, 1j, out=v[:, 1::2])
         np.subtract(pa, v[:, 1::2], out=u[:, 1::2])
         np.add(pa, v[:, 1::2], out=v[:, 1::2])
         np.conjugate(v[:, 1::2], out=v[:, 1::2])
-        _pair_rows((self.a - 1.0) * em, self.b * ep, out=r[: 2 * K])
-        if M:
-            # s3 = [pm, 0, 0, qm] and s4 = [0, pm, -qm, 0], with pm = emm Pzm
-            # and qm = cep Pzm: s3 + i s4 = [pm, -i qm], likewise conjugated
-            emm = np.exp(-1j * self.rho_m * x)
-            cep = self.c * np.exp(1j * self.rho_m * x)
-            pm = emm[:, None] * self.Pzm
-            qm = cep[:, None] * self.Pzm
-            u3, v3 = C[2 * K : 2 * K + M], C[2 * K + M :]
-            u3[:, 0::2] = pm
-            np.multiply(qm, -1j, out=u3[:, 1::2])
-            np.conjugate(pm, out=v3[:, 0::2])
-            np.multiply(np.conj(qm), -1j, out=v3[:, 1::2])
-            _pair_rows(-emm, cep, out=r[2 * K :])
+        _pair_rows(*rhs[:2], out=r[: 2 * K])
+        # s3 + i s4 = [pm, -i qm], likewise conjugated
+        u3, v3 = C[2 * K : 2 * K + M], C[2 * K + M :]
+        u3[:, 0::2] = pm
+        np.multiply(qm, -1j, out=u3[:, 1::2])
+        np.conjugate(pm, out=v3[:, 0::2])
+        np.multiply(np.conj(qm), -1j, out=v3[:, 1::2])
+        _pair_rows(*rhs[2:], out=r[2 * K :])
         return C, r
-
-    def _put(self, row: int, block: int, product: np.ndarray) -> None:
-        """Write a complex block's real and imaginary parts into the real split."""
-        rows = slice(row, row + product.shape[0])
-        imag_rows = slice(self._rows + row, self._rows + row + product.shape[0])
-        cols = slice(block * (self.N + 1), (block + 1) * (self.N + 1))
-        self._A[rows, cols] = product.real
-        self._A[imag_rows, cols] = product.imag
 
     def assemble_real(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """The real split (A, B) at x; A is the tables' matrix, overwritten by
         the next call.
 
         A holds the real parts of rows s1 (K), s2 (K), s3 (M), s4 (M), then
-        their imaginary parts, on four column blocks of N + 1: Re b_n,
-        Im b_n, Re a_n, Im a_n.  The zero blocks are never written.
+        their imaginary parts, on the unknowns in degree order.  It is
+        column-major: the selection factors it as laid out, ``qr_stage_one``
+        sums each column norm in memory order, and the chosen N rests on
+        those bits.  The zero blocks are never written.
         """
+        K, M, rows = self.K, self.M, self._rows
         if self._A is None:
-            self._A = np.zeros((2 * self._rows, 4 * (self.N + 1)))
-            self._product = np.empty((self.K, self.N + 1), dtype=complex)
-        K, put, prod = self.K, self._put, self._product
-        em = np.exp(-1j * self.rho * x)
-        ep = np.conj(em)  # rho is real on the collocation grid
-        # s1 = [em Pz, 0, -em aPzb, ep bPz], s2 = [0, em Pz, -ep bPz, -em aPzb]
-        put(0, 0, np.multiply(em[:, None], self.Pz, out=prod))
-        put(K, 1, prod)
-        put(0, 2, np.multiply(-em[:, None], self.aPzb, out=prod))
-        put(K, 3, prod)
-        put(0, 3, np.multiply(ep[:, None], self.bPz, out=prod))
-        put(K, 2, np.multiply(-ep[:, None], self.bPz, out=prod))
-        r1 = (self.a - 1.0) * em
-        r2 = self.b * ep
-        rhs = [r1, r2]
-        if self.M:
-            # s3 = [emm Pzm, 0, 0, cep Pzm], s4 = [0, emm Pzm, -cep Pzm, 0]
-            emm = np.exp(-1j * self.rho_m * x)
-            cep = self.c * np.exp(1j * self.rho_m * x)
-            put(2 * K, 0, emm[:, None] * self.Pzm)
-            put(2 * K + self.M, 1, emm[:, None] * self.Pzm)
-            put(2 * K, 3, cep[:, None] * self.Pzm)
-            put(2 * K + self.M, 2, -cep[:, None] * self.Pzm)
-            rhs += [-emm, cep]
+            self._A = np.zeros((2 * rows, 4 * (self.N + 1)), order="F")
+        A = self._A
+        em_pz, pa, pb, pm, qm, rhs = self._products(x)
+        # (first row, unknown k, product, sign) of each nonzero block
+        blocks = [(0, 0, em_pz, 1.0), (K, 1, em_pz, 1.0), (0, 2, pa, 1.0),
+                  (K, 3, pa, 1.0), (0, 3, pb, 1.0), (K, 2, pb, -1.0),
+                  (2 * K, 0, pm, 1.0), (2 * K + M, 1, pm, 1.0),
+                  (2 * K, 3, qm, 1.0), (2 * K + M, 2, qm, -1.0)]
+        for row, k, product, sign in blocks:
+            n = product.shape[0]
+            np.multiply(product.real, sign, out=A[row : row + n, k::4])
+            np.multiply(product.imag, sign, out=A[rows + row : rows + row + n, k::4])
         r = np.concatenate(rhs)
         B = np.concatenate([r.real, r.imag])
-        return self._A, B
+        return A, B
 
 
 def assemble_system(x: float, sd: ScatteringData, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Real collocation system A X = B at one x; A is 4(K+M) x 4(N+1).
 
-    The arrays are the caller's: no later call overwrites them.
+    The unknowns are in degree order, Re b_n, Im b_n, Re a_n, Im a_n for
+    n = 0..N, as in ``RecoveredCoefficients.X``.  The arrays are the
+    caller's: no later call overwrites them.
     """
     return _FactorTables(sd, N).assemble_real(x)
 
@@ -307,7 +294,7 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     stage two drops the pivots below 1e-12 of the largest: such a node needs
     no second solve, and is marked ``truncated`` (its condition exceeds 1e12)."""
     N = tables.N
-    X = np.empty((grid.n_points, 4, N + 1))
+    X = np.empty((grid.n_points, 4 * (N + 1)))
     residuals = np.empty(grid.n_points)
     rhs_norms = np.empty(grid.n_points)
     conditions = np.empty(grid.n_points)
@@ -319,10 +306,10 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
         except RankDeficient as exc:
             raise RankDeficient(f"rank-deficient collocation system at x = {x:g}") from exc
         residuals[j] = res / _SQRT2
-        b, a = sol[0::2], sol[1::2]
-        X[j] = b.real, b.imag, a.real, a.imag
+        # b_0, a_0, b_1, ... read as reals is the degree order of X
+        X[j] = sol.view(np.float64)
     return RecoveredCoefficients(
-        x_grid=grid, N=N, X=X.reshape(grid.n_points, -1), residuals=residuals,
+        x_grid=grid, N=N, X=X, residuals=residuals,
         rhs_norms=rhs_norms, conditions=conditions,
         truncated=conditions > 1.0 / _RANK_TOL,
     )
@@ -344,18 +331,18 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     node-candidate solves that went to the per-candidate path, and those
     of them that dropped rank.
 
-    One table build serves all candidates: with the columns of the real
-    split taken in degree order (Re b_n, Im b_n, Re a_n, Im a_n for
-    n = 0..N), the system of candidate N is the leading 4(N + 1) columns of
-    the largest candidate's, bit for bit, since the power columns come from
-    a sequential recurrence and the products are elementwise.  So one
+    One table build serves all candidates: the real split's columns are in
+    degree order (Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N), so the
+    system of candidate N is the leading 4(N + 1) columns of the largest
+    candidate's, bit for bit, since the power columns come from a
+    sequential recurrence and the products are elementwise.  So one
     stage-one QR per node (``qr_stage_one``) serves every candidate, and
     stage two runs on each candidate's leading triangle.  Where its
     condition is not below ``_NESTED_COND_MAX`` = 1e9, that candidate and
     the larger ones at the node are solved by ``pivoted_qr_solve`` on their
-    own columns in the sweep's block order, the bits of a real
-    per-candidate solve.  Only the selection keeps this guard; the sweep's
-    one solve per node truncates in stage two.
+    own columns in block order (Re b_n | Im b_n | Re a_n | Im a_n), the
+    bits of a real per-candidate solve.  Only the selection keeps this
+    guard; the sweep's one solve per node truncates in stage two.
 
     The selection stays on the real split.  eps(N) on the plateau past the
     optimal N is rounding noise, and the complex form lowers it (on ex1,
@@ -363,28 +350,27 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     which moves the argmin from 25 to 45 or 55.
     """
     top = _FactorTables(sd, candidates[-1], K)
-    n1_top = top.N + 1
-    # column of (block k, degree n) in the sweep's order is k (N + 1) + n
-    block_cols = np.arange(4)[:, None] * n1_top + np.arange(n1_top)
-    degree_order = block_cols.T.ravel()
     order_zero = np.empty((len(candidates), grid.n_points, 4))
     fell_back = np.zeros((len(candidates), grid.n_points), dtype=bool)
     truncated = np.zeros_like(fell_back)
     for j, x in enumerate(grid.nodes):
         A, B = top.assemble_real(float(x))
-        factor, col_scale = qr_stage_one(A[:, degree_order], B)
+        factor, col_scale = qr_stage_one(A, B)
         nested = True
         for i, N in enumerate(candidates):
             if nested:
-                sol, cond = qr_stage_two(factor, 4 * (N + 1))
+                sol, cond, _ = qr_stage_two(factor, 4 * (N + 1))
                 nested = cond < _NESTED_COND_MAX
             if nested:
                 order_zero[i, j] = sol[:4] / col_scale[:4]
             else:
                 fell_back[i, j] = True
-                # np.take gathers into the row-major layout that the solve
-                # would otherwise copy the columns into
-                own = np.take(A, block_cols[:, : N + 1].ravel(), axis=1)
+                # block order, gathered by np.take into the row-major
+                # layout the solve would otherwise copy the columns into.
+                # The chosen N rests on these bits: a fallback on the leading
+                # degree-order columns picked N = 80 on ex1, not 25
+                block_order = np.arange(4)[:, None] + 4 * np.arange(N + 1)
+                own = np.take(A, block_order.ravel(), axis=1)
                 sol, _, _, rank = pivoted_qr_solve(own, B)
                 truncated[i, j] = rank < own.shape[1]
                 order_zero[i, j] = sol[:: N + 1]

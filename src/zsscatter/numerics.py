@@ -271,6 +271,14 @@ def polynomial_roots(coeffs) -> np.ndarray:
     if nz.size == 0 or nz[-1] == 0:
         raise DegreeZero("polynomial is constant")
     c = c[: nz[-1] + 1]
+    # a leading coefficient this small against the others puts roots past
+    # the float range (a faint potential's a(z) has subnormal ones), and the
+    # companion matrix would overflow: drop it, as for an exact zero
+    with np.errstate(over="ignore", divide="ignore"):
+        while c.size > 1 and np.isinf(np.max(np.abs(c[:-1])) / np.abs(c[-1])):
+            c = c[:-1]
+    if c.size == 1:
+        raise DegreeZero("polynomial is constant")
     try:
         roots = np.roots(c[::-1]).astype(complex)
     except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
@@ -322,7 +330,7 @@ def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     """
     factor, col_scale = qr_stage_one(*_fixed_layout(A, b))
     n = col_scale.size
-    x, cond, dropped = _stage_two(factor, n)
+    x, cond, dropped = qr_stage_two(factor, n)
     x /= col_scale
     # R of [A | b] ends in the norm of the part of b outside the range of A
     residual = float(abs(factor[n, n])) if factor.shape[0] > n else 0.0
@@ -382,9 +390,10 @@ def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     touches rows k..m-1 only, and a column's scale does not depend on the
     others, so for every n' <= n the leading n' x n' triangle and the first
     n' entries of the last column are the stage-one factors of the system
-    of A's leading n' columns.  A is factored as laid out: the nested
-    inverse N-selection's bits rest on the column-major order of its
-    column gather.  NaN or inf in A or b raises ValueError.
+    of A's leading n' columns.  A is factored as laid out, since the
+    column norms are summed in memory order: the nested inverse
+    N-selection's bits rest on its real split being column-major.  NaN or
+    inf in A or b raises ValueError.
     """
     A, b, col_scale = _prepared_system(A, b)
     m, n = A.shape
@@ -415,7 +424,7 @@ def _pivoted_qr_raw(a: np.ndarray):
     return h, tau, jpvt
 
 
-def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
     """Stage two on the leading n columns of a :func:`qr_stage_one` factor.
 
     A column-pivoted QR (LAPACK geqp3, see ``_pivoted_qr_raw``) of the
@@ -426,18 +435,14 @@ def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     Pivots below ``_RANK_TOL`` times the largest are dropped and their
     entries of x set to zero (a basic solution).
 
-    Returns (x, cond) of the equilibrated system (divide x by the leading
-    n entries of ``col_scale`` for the solution of A x = b), ``cond`` the
-    ratio of extreme pivots of the whole triangle: above 1 / ``_RANK_TOL``
-    = 1e12 exactly when pivots were dropped, inf for a zero pivot.  Raises
-    RankDeficient if every pivot is zero.
+    Returns (x, cond, dropped) of the equilibrated system (divide x by
+    the leading n entries of ``col_scale`` for the solution of A x = b),
+    ``cond`` the ratio of extreme pivots of the whole triangle: above
+    1 / ``_RANK_TOL`` = 1e12 exactly when pivots were dropped, inf for a
+    zero pivot, and ``dropped`` the norm of the part of Q^H b on the
+    dropped pivots (0 if none were).  Raises RankDeficient if every pivot
+    is zero.
     """
-    x, cond, _ = _stage_two(factor, n)
-    return x, cond
-
-
-def _stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
-    """:func:`qr_stage_two`'s (x, cond) and the norm of Q^H b on the dropped pivots."""
     # the transpose of a lower triangle is a column-major upper one, which
     # geqp3 overwrites in place instead of copying
     h, tau, perm = _pivoted_qr_raw(np.tril(factor[:n, :n].T).T)

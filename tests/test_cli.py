@@ -74,7 +74,8 @@ def test_missing_file_exits_2(tmp_path, capsys):
     code = run(["direct", "--potential", "file:/does/not/exist.csv",
                 "--output-dir", str(tmp_path)])
     assert code == 2
-    assert "Error" in capsys.readouterr().err or True
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FileNotFoundError:")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

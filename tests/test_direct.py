@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zsscatter as zs
 from zsscatter.coeffs import (
@@ -503,6 +503,9 @@ def test_sum_rule_stop_keeps_the_full_argmin():
 
 @given(_bump_sums)
 @settings(max_examples=8, deadline=None)
+# a faint bump: a(z) has subnormal leading coefficients, which overflowed
+# the companion matrix (NoConvergence)
+@example(bumps=[("sech", 8.46327610427892e-158, 0.5, 0.0)])
 def test_real_bump_sums_keep_the_scattering_symmetries(bumps):
     # a real q gives |a|^2 + |b|^2 = 1, a(-rho) = conj a(rho) and likewise
     # b, eigenvalues in pairs rho, -conj(rho), and conjugate norming

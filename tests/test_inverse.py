@@ -70,6 +70,12 @@ class TestAssembly:
         )
         with pytest.raises(MissingSpectrumData):
             zs.assemble_system(0.0, broken, 5)
+        # and norming constants without eigenvalues
+        stray = ScatteringData(rho_grid=sd.rho_grid, a_values=sd.a_values,
+                               b_values=sd.b_values, eigenvalues=(),
+                               norming_constants=np.ones(2, dtype=complex))
+        with pytest.raises(MissingSpectrumData, match="2 norming constants for 0"):
+            zs.assemble_system(0.0, stray, 5)
 
     def test_forward_coefficients_satisfy_system(self, ex4_direct, ex4_full_table):
         _, sd = ex4_direct
@@ -80,24 +86,32 @@ class TestAssembly:
             j = int(np.argmin(np.abs(g.nodes - x_target)))
             bv = table.b[: N + 1, j]
             av = table.a[: N + 1, j]
-            X = np.concatenate([bv.real, bv.imag, av.real, av.imag])
+            X = np.column_stack([bv.real, bv.imag, av.real, av.imag]).ravel()
             A, B = zs.assemble_system(float(g.nodes[j]), sd, N)
             assert np.linalg.norm(A @ X - B) < 1e-4 * max(1.0, np.linalg.norm(B))
 
 
-def _reference_rows(tables, x):
+def _reference_rows(tables, x, block_order=False):
     """The allocating assembly of the complex rows s1, s2 (and s3, s4) over the
     real unknowns Re b_n, Im b_n, Re a_n, Im a_n, with their right-hand sides,
-    as the real sweep built them."""
+    as the real sweep built them: in degree order (unknown k of degree n in
+    column 4 n + k) or, with ``block_order``, one block of N + 1 columns per
+    unknown, as the selection's fallback takes them."""
     n1 = tables.N + 1
+
+    def row(*blocks):
+        if block_order:
+            return np.hstack(blocks)
+        return np.stack(blocks, axis=2).reshape(blocks[0].shape[0], 4 * n1)
+
     em = np.exp(-1j * tables.rho * x)
     ep = np.conj(em)
     zero = np.zeros((tables.K, n1), dtype=complex)
-    s1 = np.hstack([em[:, None] * tables.Pz, zero, -em[:, None] * tables.aPzb,
-                    ep[:, None] * tables.bPz])
+    s1 = row(em[:, None] * tables.Pz, zero, -em[:, None] * tables.aPzb,
+             ep[:, None] * tables.bPz)
     r1 = (tables.a - 1.0) * em
-    s2 = np.hstack([zero, em[:, None] * tables.Pz, -ep[:, None] * tables.bPz,
-                    -em[:, None] * tables.aPzb])
+    s2 = row(zero, em[:, None] * tables.Pz, -ep[:, None] * tables.bPz,
+             -em[:, None] * tables.aPzb)
     r2 = tables.b * ep
     rows = [s1, s2]
     rhs = [r1, r2]
@@ -105,15 +119,16 @@ def _reference_rows(tables, x):
         emm = np.exp(-1j * tables.rho_m * x)
         cep = tables.c * np.exp(1j * tables.rho_m * x)
         zm0 = np.zeros((tables.M, n1), dtype=complex)
-        rows += [np.hstack([emm[:, None] * tables.Pzm, zm0, zm0, cep[:, None] * tables.Pzm]),
-                 np.hstack([zm0, emm[:, None] * tables.Pzm, -cep[:, None] * tables.Pzm, zm0])]
+        rows += [row(emm[:, None] * tables.Pzm, zm0, zm0, cep[:, None] * tables.Pzm),
+                 row(zm0, emm[:, None] * tables.Pzm, -cep[:, None] * tables.Pzm, zm0)]
         rhs += [-emm, cep]
     return rows, rhs
 
 
-def _reference_assemble(tables, x):
-    """The allocating real split the per-sweep matrix replaced, kept as a reference."""
-    rows, rhs = _reference_rows(tables, x)
+def _reference_assemble(tables, x, block_order=False):
+    """The allocating real split the per-sweep matrix replaced, kept as a
+    reference; row-major, its columns as ``_reference_rows`` orders them."""
+    rows, rhs = _reference_rows(tables, x, block_order)
     C = np.vstack(rows)
     r = np.concatenate(rhs)
     return np.vstack([C.real, C.imag]), np.concatenate([r.real, r.imag])
@@ -132,19 +147,12 @@ def _reference_complex(tables, x):
         W += [s + 1j * t, np.conj(s - 1j * t)]
         w += [p + 1j * q, np.conj(p - 1j * q)]
     W = np.vstack(W)
-    n1 = tables.N + 1
-    re_b, im_b, re_a, im_a = (W[:, k * n1:(k + 1) * n1] for k in range(4))
-    C = np.empty((W.shape[0], 2 * n1), dtype=complex)
+    re_b, im_b, re_a, im_a = (W[:, k::4] for k in range(4))
+    C = np.empty((W.shape[0], W.shape[1] // 2), dtype=complex)
     C[:, 0::2] = re_b
     C[:, 1::2] = re_a
     defect = max(np.max(np.abs(im_b - 1j * re_b)), np.max(np.abs(im_a - 1j * re_a)))
     return C, np.concatenate(w), defect / np.max(np.abs(W))
-
-
-def _as_blocks(sol):
-    """Re b_n, Im b_n, Re a_n, Im a_n from a complex-form solution in degree order."""
-    b, a = sol[0::2], sol[1::2]
-    return np.concatenate([b.real, b.imag, a.real, a.imag])
 
 
 @pytest.fixture(scope="module", params=[(0.4, 0), (1.3, 1)], ids=["M0", "M1"])
@@ -190,7 +198,7 @@ class TestSweepBuffers:
         for j, x in enumerate(grid.nodes):
             C, r = inverse._FactorTables(sd, 20).assemble(float(x))
             sol, _, _ = least_squares_solve(C, r)
-            assert np.array_equal(X[j], _as_blocks(sol))
+            assert np.array_equal(X[j], sol.view(float))
 
 
 class TestTrivialPipeline:
@@ -261,24 +269,27 @@ def _real_node_solve(A, B):
     return solved if solved[2] < 1e9 else pivoted_qr_solve(A, B)[:3]
 
 
-def _real_sweep(sd, N, K, grid):
+def _real_sweep(sd, N, K, grid, block_order=False):
     """The real sweep, kept as a reference: one ``_real_node_solve`` of the
-    reference real split per node.  Returns (X, residuals, conditions)."""
+    reference real split per node, its unknowns in degree or block order.
+    Returns (X, residuals, conditions)."""
     tables = inverse._FactorTables(sd, N, K)
-    solves = [_real_node_solve(*_reference_assemble(tables, float(x))) for x in grid.nodes]
+    solves = [_real_node_solve(*_reference_assemble(tables, float(x), block_order))
+              for x in grid.nodes]
     X, res, cond = zip(*solves)
     return np.array(X), np.array(res), np.array(cond)
 
 
 def _reference_select(sd, cfg):
-    """The per-candidate selection on real sweeps, kept as a reference.
+    """The per-candidate selection on real sweeps in block order, kept as a
+    reference.
 
     Returns (N, eps_table, order-zero entries of shape (candidates, nodes, 4)).
     """
     grid = cfg.selection_grid()
     eps_table, zero = {}, []
     for N in cfg.candidates:
-        X, _, _ = _real_sweep(sd, N, cfg.selection_K, grid)
+        X, _, _ = _real_sweep(sd, N, cfg.selection_K, grid, block_order=True)
         entries = X[:, :: N + 1]
         eps_table[N] = float(np.max(np.abs(differentiate(
             grid, inverse._wronskian_curve(*entries.T)))))
@@ -303,11 +314,6 @@ def _count_factorizations(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_funcs_spy)
     monkeypatch.setattr(scipy.linalg, "qr", qr_spy)
     return calls
-
-
-def _degree_order(N):
-    """Sweep columns k (N + 1) + n listed as Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N."""
-    return np.arange(4 * (N + 1)).reshape(4, N + 1).T.ravel()
 
 
 # ex1 on [-8, 8]: from N = 75 on every selection node is past the two-stage
@@ -346,7 +352,8 @@ class TestNestedSelection:
         _, fell_back, _ = inverse._selection_order_zero(*args)
 
         def explicit_q(factor, n):
-            return _reference_stage_two(factor, n)[:2]
+            x, cond, _, _ = _reference_stage_two(factor, n)
+            return x, cond, None  # the selection does not read the dropped norm
 
         monkeypatch.setattr(inverse, "qr_stage_two", explicit_q)
         _, fell_back_ref, _ = inverse._selection_order_zero(*args)
@@ -373,18 +380,27 @@ class TestNestedSelection:
     def test_candidate_columns_are_the_leading_block(self, sech_data):
         sd = sech_data
         top = inverse._FactorTables(sd, 30, 400)
+        n1 = top.N + 1
+        degree_order = np.arange(4 * n1).reshape(4, n1).T.ravel()
         for x in (-2.0, 0.0, 1.3):
             A_top, B_top = top.assemble_real(x)
-            A_top, B_top = A_top.copy(), B_top.copy()
+            # the selection's stage one is, bit for bit, that of the row-major
+            # block-order split gathered into degree order: a column-major
+            # gather, summed in the same order for the column norms
+            gathered = _reference_assemble(top, x, block_order=True)[0][:, degree_order]
+            for got, want in zip(qr_stage_one(A_top, B_top), qr_stage_one(gathered, B_top)):
+                assert np.array_equal(got, want)
             for N in (0, 7, 29, 30):
-                A, B = inverse._FactorTables(sd, N, 400).assemble_real(x)
-                # the candidate's columns in the sweep's block order ...
-                cols = np.arange(4)[:, None] * (top.N + 1) + np.arange(N + 1)
-                assert np.array_equal(A_top[:, cols.ravel()], A)
-                # ... and in degree order, the leading 4(N + 1) columns
-                assert np.array_equal(A_top[:, _degree_order(top.N)[: 4 * (N + 1)]],
-                                      A[:, _degree_order(N)])
+                tables = inverse._FactorTables(sd, N, 400)
+                A, B = tables.assemble_real(x)
+                # the candidate's system is the leading 4(N + 1) columns ...
+                assert np.array_equal(A_top[:, : 4 * (N + 1)], A)
                 assert np.array_equal(B_top, B)
+                # ... and the fallback's gather of them in block order is the
+                # row-major block-order split
+                own = np.take(A_top, (np.arange(4)[:, None] + 4 * np.arange(N + 1)).ravel(), axis=1)
+                A_blocks, _ = _reference_assemble(tables, x, block_order=True)
+                assert own.flags.c_contiguous and np.array_equal(own, A_blocks)
 
     def test_fallbacks_reported(self, ex1_direct):
         _, sd = ex1_direct
@@ -443,7 +459,7 @@ class TestSweepKernel:
             C, r = tables.assemble(float(x))
             factor, col_scale = qr_stage_one(C, r)
             sol, cond, R, _ = _reference_stage_two(factor, C.shape[1])
-            X_ref = _as_blocks(sol / col_scale)
+            X_ref = (sol / col_scale).view(float)
             assert coeffs.conditions[j] == cond
             # the dropped unknowns are exactly zero
             assert np.array_equal(coeffs.X[j] == 0.0, X_ref == 0.0)
@@ -479,18 +495,16 @@ class TestSweepKernel:
         assert not coeffs.truncated.any() and coeffs.conditions.max() < 1e9
 
     def test_solve_does_not_depend_on_the_layout_of_a(self, ex1_direct):
-        # past the two-stage guard, a column-major A or a gather of the
-        # columns from a larger table gives the bits of the row-major system
+        # past the two-stage guard, a column-major A or a slice of the
+        # columns of a larger table gives the bits of the row-major system
         _, sd = ex1_direct
         x = 4.8
         A_top, B = inverse._FactorTables(sd, 90, 400).assemble_real(x)
-        A_top, B = A_top.copy(), B.copy()
         for N in (80, 90):
             A, _ = inverse._FactorTables(sd, N, 400).assemble_real(x)
-            cols = (np.arange(4)[:, None] * 91 + np.arange(N + 1)).ravel()
-            x_ref, res_ref, cond_ref, _ = pivoted_qr_solve(A, B)
+            x_ref, res_ref, cond_ref, _ = pivoted_qr_solve(np.ascontiguousarray(A), B)
             assert cond_ref > 1e9
-            for other in (np.asfortranarray(A), A_top[:, cols]):
+            for other in (A, A_top[:, : 4 * (N + 1)]):
                 sol, res, cond, _ = pivoted_qr_solve(other, B)
                 assert np.array_equal(sol, x_ref)
                 assert res == res_ref and cond == cond_ref
@@ -548,7 +562,7 @@ class TestRecovery:
     def test_denominator_guard(self):
         g = zs.UniformGrid(2.0, 41)
         X = np.zeros((41, 8))
-        X[:, 2] = 1.0  # Im b0 == 1 makes the b-side denominator vanish
+        X[:, 1] = 1.0  # Im b0 == 1 makes the b-side denominator vanish
         coeffs = RecoveredCoefficients(
             x_grid=g, N=1, X=X,
             residuals=np.zeros(41), rhs_norms=np.ones(41),

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import zsscatter as zs
 from zsscatter import basis as basis_module, direct as direct_module, numerics
 from zsscatter.coeffs import DEFAULT_N_MAX
-from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
+from zsscatter.errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
 from zsscatter.jost import JostFactors, z_of_rho
 from zsscatter.numerics import (
     CumulativeIntegrator,
@@ -444,6 +444,15 @@ class TestPolynomialRoots:
         with pytest.raises(DegreeZero):
             polynomial_roots([3.0, 0.0, 0.0])
 
+    def test_leading_coefficients_past_the_float_range_dropped(self):
+        # a(z) of q = 8.5e-158 sech(2x): its roots lie past the float range,
+        # and the companion matrix overflowed (NoConvergence)
+        with pytest.raises(DegreeZero):
+            polynomial_roots([1.0, -3.40445957e-315, -1.70222978e-315])
+        assert np.array_equal(polynomial_roots([2.0, 1.0, 0.0, 1e-320]), [-2.0])
+        with pytest.raises(NoConvergence):
+            polynomial_roots([np.nan, 1.0, 1e-320])
+
     @given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=8))
     # a double root: p' there is rounding noise, and an unchecked Newton
     # step threw one root 0.015 away (residual 2.2e-4)
@@ -643,7 +652,7 @@ class TestLeastSquares:
         b = rng.standard_normal(200)
         factor, col_scale = qr_stage_one(A, b)
         for n in range(1, 25):
-            x, cond = qr_stage_two(factor, n)
+            x, cond, _ = qr_stage_two(factor, n)
             x_ref, _, cond_ref = least_squares_solve(A[:, :n], b)
             np.testing.assert_allclose(x / col_scale[:n], x_ref, rtol=1e-12, atol=0.0)
             assert cond == pytest.approx(cond_ref, rel=1e-12)
@@ -655,14 +664,14 @@ class TestLeastSquares:
         b = rng.standard_normal(200)
         factor, col_scale = qr_stage_one(A, b)
         for n in range(1, 17):
-            x, _ = qr_stage_two(factor, n)
+            x, _, _ = qr_stage_two(factor, n)
             np.testing.assert_allclose(x / col_scale[:n], least_squares_solve(A[:, :n], b)[0],
                                        rtol=1e-12, atol=0.0)
         for n in range(17, 25):
             # the pivot ratio lies between the selection's guard and the
             # rank tolerance, so every pivot is kept
             assert 1e9 < pivoted_qr_solve(A[:, :n], b)[2] < 1e12
-            x, cond = qr_stage_two(factor, n)
+            x, cond, _ = qr_stage_two(factor, n)
             assert 1e9 < cond < 1e12 and np.all(x != 0.0)
             assert 1e9 < least_squares_solve(A[:, :n], b)[2] < 1e12
 
@@ -687,7 +696,7 @@ class TestLeastSquares:
                 factor, _ = qr_stage_one(A, b)
                 ref = _reference_stage_two(factor, n)
                 raw.clear()
-                x, cond = qr_stage_two(factor, n)
+                x, cond, _ = qr_stage_two(factor, n)
                 assert len(raw) == 1
                 diag, perm = raw[0]
                 x_ref, cond_ref, R_ref, perm_ref = ref
@@ -851,7 +860,7 @@ class TestLeastSquares:
             n = A.shape[1]
             # stage two is the explicit-Q reference on the same triangle:
             # the same pivots and rank decision, x to rounding
-            x, cond = qr_stage_two(factor, n)
+            x, cond, _ = qr_stage_two(factor, n)
             x_ref, cond_ref, _, _ = _reference_stage_two(factor, n)
             assert cond == cond_ref > 1e12
             assert np.array_equal(x == 0.0, x_ref == 0.0)
@@ -908,7 +917,7 @@ class TestComplexLeastSquares:
         factor, col_scale = qr_stage_one(A, b)
         assert factor.dtype == complex
         for n in range(1, 21):
-            x, cond = qr_stage_two(factor, n)
+            x, cond, _ = qr_stage_two(factor, n)
             x_ref, _, cond_ref = least_squares_solve(A[:, :n], b)
             np.testing.assert_allclose(x / col_scale[:n], x_ref, rtol=1e-12, atol=0.0)
             # equilibrated columns all have norm 1, so rounding picks among
