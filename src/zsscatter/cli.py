@@ -54,7 +54,12 @@ def _add_direct_options(sub):
 
 def _add_inverse_options(sub):
     sub.add_argument("--x-half-width", type=float, default=8.0)
-    sub.add_argument("--x-points", type=int, default=2001)
+    sub.add_argument("--x-points", type=int, default=2001,
+                     help="points of the uniform output grid of q; the sweep solves at "
+                          "nested Chebyshev nodes (17, 33, 65, ...) until their "
+                          "coefficients are resolved, at most this many, or one level "
+                          "more if it would stop unresolved with its two recovered q "
+                          "more than 1%% apart")
     sub.add_argument("--collocation", type=int, default=1000,
                      help="at most this many collocation points, drawn from the rho "
                           "grid; targets that land on one grid point count once, so "
@@ -156,21 +161,41 @@ def _inverse_config(args, parser) -> InverseConfig:
         parser.error(f"invalid inverse option: {exc}")
 
 
+def _inverse_stage(sd, args):
+    rec, coeffs, info = solve_inverse(sd, args.inverse_config)
+    if not info["x_resolved"]:
+        print(
+            f"warning: the x-sweep stopped at {info['x_nodes']} nodes unresolved "
+            f"(Chebyshev tail at {info['chop_level']:.1e}); raise --x-points",
+            file=sys.stderr,
+        )
+    return rec, coeffs, info
+
+
 def _write_inverse_outputs(out_dir, rec, coeffs, info):
     write_csv(
         os.path.join(out_dir, "recovered.csv"),
-        ["x", "q_recovered", "q_from_a0", "residual"],
-        [rec.x_grid.nodes, rec.chosen, rec.q_from_a0, coeffs.residuals],
+        ["x", "q_recovered", "q_from_a0"],
+        [rec.x_grid.nodes, rec.chosen, rec.q_from_a0],
+    )
+    write_csv(
+        os.path.join(out_dir, "sweep_nodes.csv"),
+        ["x", "residual", "condition"],
+        [coeffs.nodes, coeffs.residuals, coeffs.conditions],
     )
     summary = {
         "chosen_N": info["chosen_N"],
         "collocation_count": info["collocation_count"],
+        "x_nodes": info["x_nodes"],
+        "x_resolved": info["x_resolved"],
+        "chop_level": info["chop_level"],
         "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
         "selection_fallbacks": info.get("selection_fallbacks", 0),
         "selection_rank_truncated": info.get("selection_rank_truncated", 0),
         "sweep_rank_truncated": info["sweep_rank_truncated"],
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],
+        "constraint_residual": info["constraint_residual"],
         "discrepancy": info["discrepancy"],
     }
     with open(os.path.join(out_dir, "inverse_summary.json"), "w",
@@ -199,7 +224,7 @@ def _run_direct(args, parser) -> int:
 def _run_inverse(args, parser) -> int:
     with open(args.scattering, encoding="utf-8") as fh:
         sd = scattering_from_json(fh.read())
-    rec, coeffs, info = solve_inverse(sd, args.inverse_config)
+    rec, coeffs, info = _inverse_stage(sd, args)
     os.makedirs(args.output_dir, exist_ok=True)
     _write_inverse_outputs(args.output_dir, rec, coeffs, info)
     print(f"chosen N: {info['chosen_N']}")
@@ -210,7 +235,7 @@ def _run_inverse(args, parser) -> int:
 
 def _run_roundtrip(args, parser) -> int:
     sd = _direct_stage(args, parser)
-    rec, coeffs, info = solve_inverse(sd, args.inverse_config)
+    rec, coeffs, info = _inverse_stage(sd, args)
     os.makedirs(args.output_dir, exist_ok=True)
     _write_inverse_outputs(args.output_dir, rec, coeffs, info)
     g = rec.x_grid

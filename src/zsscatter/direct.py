@@ -385,7 +385,11 @@ def scattering_to_json(sd: ScatteringData) -> str:
         "n_terms": int(sd.n_terms),
         "potential_desc": sd.potential_desc,
     }
-    return json.dumps(payload, indent=2)
+    # one line per key; without indent, json.dumps takes its C encoder,
+    # which an indent turns off
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                        for key, value in payload.items())
+    return "{\n" + lines + "\n}"
 
 
 def scattering_from_json(text: str) -> ScatteringData:

@@ -1,6 +1,8 @@
-"""Dense numerical kernels: grid, quadrature, ODE sweeps, roots, least squares.
+"""Dense numerical kernels: grid, quadrature, ODE sweeps, roots, least
+squares, Chebyshev series.
 
-All routines operate on samples over a :class:`UniformGrid` and are pure
+The grid routines operate on samples over a :class:`UniformGrid`, the
+Chebyshev ones on samples at :func:`chebyshev_points`.  All are pure
 functions; the only state kept between calls is the scratch buffers of a
 :class:`CumulativeIntegrator`, which its owner reuses.
 """
@@ -24,11 +26,18 @@ __all__ = [
     "horner",
     "polynomial_roots",
     "least_squares_solve",
+    "constrained_least_squares",
     "pivoted_qr_solve",
     "qr_stage_one",
     "qr_stage_two",
     "differentiate",
     "midpoint_values",
+    "chebyshev_points",
+    "chebyshev_coefficients",
+    "chebyshev_values",
+    "chebyshev_derivative",
+    "standard_chop",
+    "barycentric_interpolate",
 ]
 
 
@@ -260,12 +269,15 @@ def polynomial_roots(coeffs) -> np.ndarray:
     Real coefficients give a real companion matrix: its real QR iteration
     takes a third to a half of the time of the complex one at degree
     450-500 and returns the non-real roots in exact conjugate pairs.
-    Complex coefficients use the complex companion matrix.
+    Complex coefficients use the complex companion matrix.  A NaN or inf
+    coefficient raises NonFiniteValue.
     """
     c = np.asarray(coeffs)
     c = c.astype(complex if np.iscomplexobj(c) else float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficient array must be 1-D and non-empty")
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("polynomial coefficients must be finite")
     # strip leading-coefficient zeros (highest degree)
     nz = np.nonzero(np.abs(c) > 0)[0]
     if nz.size == 0 or nz[-1] == 0:
@@ -495,6 +507,57 @@ def pivoted_qr_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, f
     return x, residual, float(dmax / diag[:rank].min()), rank
 
 
+def constrained_least_squares(A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np.ndarray,
+                              solve=least_squares_solve) -> tuple[np.ndarray, float, float]:
+    """Minimize ||Ax - b||_2 subject to E x = d, by the null-space method.
+
+    The rows of E are scaled to unit norm (which leaves the constraints as
+    they are), and a Householder QR (LAPACK geqrf) gives E^H = Q [R; 0].
+    Then x = Q [y1; y2] with R^H y1 = d, and A Q = [A1 | A2] turns the
+    problem into min ||A2 y2 - (b - A1 y1)||, which ``solve`` (by default
+    :func:`least_squares_solve`) takes on the trailing columns of A Q.  The
+    reflectors are applied to A from the right in place (LAPACK ormqr, or
+    unmqr for complex A), so A, which must be column-major in the solve's
+    dtype, is overwritten; b, E and d are not.  Golub & Van Loan, *Matrix
+    Computations*, section 6.2.
+
+    Returns (x, residual_norm, condition_estimate) as ``solve`` gives them
+    for the reduced system.  With no constraint rows this is ``solve(A, b)``.
+    Raises RankDeficient if E has more rows than columns, or if its scaled
+    rows are dependent: a pivot of R below ``_RANK_TOL`` times the largest.
+    """
+    p, n = E.shape
+    if p == 0:
+        return solve(A, b)
+    if p > n:
+        raise RankDeficient(f"{p} constraints on {n} unknowns")
+    if not (A.flags.f_contiguous and A.dtype == _solve_dtype(A, E)):
+        raise ValueError("A must be column-major in the dtype of the solve")
+    scale = np.linalg.norm(E, axis=1)
+    scale[scale == 0.0] = 1.0
+    geqrf = scipy.linalg.lapack.get_lapack_funcs("geqrf", (A,))
+    h, tau, _, info = geqrf(np.asfortranarray((E.conj() / scale[:, None]).T, dtype=A.dtype),
+                            overwrite_a=True)
+    if info != 0:
+        raise ValueError(f"geqrf failed with info = {info}")
+    pivots = np.abs(np.diagonal(h))
+    if not pivots.min() >= _RANK_TOL * pivots.max():
+        raise RankDeficient("the constraint rows are linearly dependent")
+    ormqr = scipy.linalg.lapack.zunmqr if h.dtype.kind == "c" else scipy.linalg.lapack.dormqr
+    # lwork = rows of A: the unblocked loop, which LAPACK takes anyway for
+    # fewer reflectors than its block size
+    aq, _, info = ormqr("R", "N", h, tau, A, max(1, A.shape[0]), overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"ormqr/unmqr failed with info = {info}")
+    y = np.empty(n, h.dtype)
+    y[:p] = scipy.linalg.solve_triangular(h[:p, :p], d / scale, trans="C")
+    y[p:], residual, cond = solve(aq[:, p:], b - aq[:, :p] @ y[:p])
+    x, _, info = ormqr("L", "N", h, tau, y[:, None], 1)
+    if info != 0:
+        raise ValueError(f"ormqr/unmqr failed with info = {info}")
+    return x[:, 0], residual, cond
+
+
 def differentiate(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     """Fourth-order finite-difference derivative on the grid.
 
@@ -509,4 +572,118 @@ def differentiate(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
     out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
     out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    return out
+
+
+def chebyshev_points(half_width: float, n: int) -> np.ndarray:
+    """The n + 1 Chebyshev points of the second kind on [-a, a], ascending.
+
+    x_j = -a cos(pi j / n), written as a sine so that the points are exactly
+    symmetric, with x = 0 a point for even n and the ends exactly -a and a.
+    """
+    return half_width * np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+
+
+def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the polynomial through real samples at the
+    ``chebyshev_points`` (along axis 0), by one FFT of the even extension."""
+    v = np.asarray(values, dtype=float)[::-1]  # t = cos(pi j / n), descending
+    n = v.shape[0] - 1
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]]), axis=0).real / n
+    c[0] /= 2.0
+    c[n] /= 2.0
+    return c
+
+
+def chebyshev_values(coeffs: np.ndarray) -> np.ndarray:
+    """Values at the ``chebyshev_points`` of a Chebyshev series (along axis
+    0); the inverse of :func:`chebyshev_coefficients`."""
+    n = coeffs.shape[0] - 1
+    spectrum = n * coeffs
+    spectrum[0] *= 2.0
+    spectrum[n] *= 2.0
+    return np.fft.irfft(spectrum, 2 * n, axis=0)[n::-1]
+
+
+def chebyshev_derivative(coeffs: np.ndarray, half_width: float) -> np.ndarray:
+    """Chebyshev coefficients of d/dx of a series on [-a, a] (along axis 0).
+
+    The derivative's coefficient m is the sum of 2 k c_k over k = m + 1,
+    m + 3, ..., halved for m = 0: one reverse cumulative sum per parity.
+    """
+    k = np.arange(coeffs.shape[0]).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    w = 2.0 * k * coeffs
+    tails = np.empty_like(w)
+    for parity in (0, 1):
+        tails[parity::2] = np.cumsum(w[parity::2][::-1], axis=0)[::-1]
+    out = np.zeros_like(coeffs)
+    out[:-1] = tails[1:]
+    out[0] /= 2.0
+    return out / half_width
+
+
+def standard_chop(coeffs: np.ndarray, tol: float) -> int:
+    """How many leading Chebyshev coefficients resolve a series to ``tol``.
+
+    The standardChop rule of Aurentz & Trefethen ("Chopping a Chebyshev
+    series", ACM TOMS 43, 2017): find where the monotone envelope of |c|
+    first levels off into a plateau, then cut where the envelope, tilted
+    towards the left end, is least.  Returns ``len(coeffs)`` when there is
+    no plateau (the series is not resolved) or fewer than 17 coefficients.
+    """
+    b = np.abs(coeffs)
+    n = b.size
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(b[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    # 1-based indices, as in the paper: a plateau follows point j - 1 if
+    # the envelope hardly falls from j to j2 = round(1.25 j + 5)
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not plateau.any():
+        return n
+    first = int(np.argmax(plateau))
+    plateau_point, j2 = int(j[first]) - 1, int(j2[first])
+    if envelope[plateau_point - 1] == 0.0:
+        return plateau_point
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(envelope >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+def barycentric_interpolate(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through ``values`` (along axis 0) at the
+    ``chebyshev_points`` ``nodes``, evaluated at x.
+
+    The barycentric formula of the second kind with the weights (-1)^j,
+    halved at the ends (Berrut & Trefethen, SIAM Review 46, 2004).  One pass
+    per node keeps the work arrays the size of the output; an x equal to a
+    node takes that node's value.
+    """
+    values = np.asarray(values)
+    num = np.zeros((x.size,) + values.shape[1:], np.result_type(values.dtype, np.float64))
+    den = np.zeros(x.size)
+    exact = np.full(x.size, -1)
+    last = nodes.size - 1
+    for j, xj in enumerate(nodes):
+        diff = x - xj
+        hit = diff == 0.0
+        exact[hit] = j
+        diff[hit] = 1.0
+        c = (0.5 if j in (0, last) else 1.0) * (-1.0) ** j / diff
+        den += c
+        num += c.reshape((-1,) + (1,) * (values.ndim - 1)) * values[j]
+    out = num / den.reshape((-1,) + (1,) * (values.ndim - 1))
+    out[exact >= 0] = values[exact[exact >= 0]]
     return out

@@ -162,11 +162,21 @@ def test_inverse_trivial(tmp_path):
                 "--inverse-n", "5",
                 "--output-dir", str(inv_dir)]) == 0
     rows = (inv_dir / "recovered.csv").read_text().splitlines()
-    assert rows[0] == "x,q_recovered,q_from_a0,residual"
+    assert rows[0] == "x,q_recovered,q_from_a0"
+    assert len(rows) == 1 + 41
     values = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.max(np.abs(values)) < 1e-12
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
     assert summary["chosen_N"] == 5
+    # the solve nodes: Chebyshev points, at most --x-points of them
+    nodes = (inv_dir / "sweep_nodes.csv").read_text().splitlines()
+    assert nodes[0] == "x,residual,condition"
+    x = np.array([float(r.split(",")[0]) for r in nodes[1:]])
+    assert x.size == summary["x_nodes"] <= 41
+    assert np.array_equal(x, zs.numerics.chebyshev_points(8.0, x.size - 1))
+    # q = 0 is resolved at once, and its eigenvalue rows are empty
+    assert summary["x_resolved"] is True
+    assert summary["constraint_residual"] == 0.0
 
 
 def test_roundtrip_small(tmp_path, capsys):
@@ -180,6 +190,32 @@ def test_roundtrip_small(tmp_path, capsys):
     assert report["chosen_N"] == 20
     assert report["max_abs_error"] < 0.05
     assert "max abs error" in capsys.readouterr().out
+
+
+def test_unresolved_sweep_warns(tmp_path, capsys):
+    # 11 output points allow 9 Chebyshev nodes, too few to resolve b0(x);
+    # their quotients disagree by far more than 1 %, so the sweep solves
+    # one level more, 17 nodes, and still stops unresolved
+    code = run(["roundtrip", "--potential", "preset:sech_scaled",
+                "--mu", "3.14159265358979", "--grid-points", "2001",
+                "--x-points", "11", "--collocation", "400", "--inverse-n", "20",
+                "--output-dir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "inverse_summary.json").read_text())
+    assert summary["x_resolved"] is False and summary["x_nodes"] == 17
+    lines = [line for line in capsys.readouterr().err.splitlines() if "x-sweep" in line]
+    assert lines == [f"warning: the x-sweep stopped at 17 nodes unresolved (Chebyshev tail "
+                     f"at {summary['chop_level']:.1e}); raise --x-points"]
+
+
+def test_resolved_sweep_does_not_warn(tmp_path, capsys):
+    out_dir = tmp_path / "direct"
+    assert run(["direct", "--potential", "preset:zero", "--grid-points", "401",
+                "--rho-count", "200", "--output-dir", str(out_dir)]) == 0
+    assert run(["inverse", "--scattering", str(out_dir / "scattering.json"),
+                "--x-points", "41", "--collocation", "150", "--inverse-n", "5",
+                "--output-dir", str(tmp_path / "inverse")]) == 0
+    assert "x-sweep" not in capsys.readouterr().err
 
 
 def test_inverse_summary_reports_collocation_count(tmp_path):
@@ -197,6 +233,7 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
     assert "sweep_fallbacks" not in summary
     assert summary["selection_rank_truncated"] == 0
     assert summary["sweep_rank_truncated"] == 0
+    assert {"x_nodes", "x_resolved", "chop_level", "constraint_residual"} <= summary.keys()
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):

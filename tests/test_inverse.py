@@ -1,5 +1,7 @@
 """Inverse problem: system assembly, sweeps, N selection, recovery."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from zsscatter.direct import Eigenvalue, ScatteringData
 from zsscatter.errors import (
     DenominatorNearZero,
     MissingSpectrumData,
+    RankDeficient,
     UnderdeterminedSystem,
     ZSScatterError,
 )
@@ -17,12 +20,18 @@ from zsscatter import inverse
 from zsscatter.inverse import RecoveredCoefficients, recover_potential, select_truncation_inverse
 from zsscatter.jost import z_of_rho
 from zsscatter.numerics import (
+    chebyshev_coefficients,
+    chebyshev_derivative,
+    chebyshev_points,
+    chebyshev_values,
+    constrained_least_squares,
     differentiate,
     least_squares_solve,
     pivoted_qr_solve,
     qr_stage_one,
+    standard_chop,
 )
-from test_numerics import _matvec_error_bound, _reference_lsq, _reference_stage_two
+from test_numerics import _gglse, _matvec_error_bound, _reference_stage_two
 
 
 def _trivial_data(n_rho=400):
@@ -166,15 +175,27 @@ def sech_data(request):
     return sd
 
 
+def _node_system(tables, x):
+    """Copies of the tables' complex system at x: (C, r, E, d), E and d cut
+    to the M constraint rows s3 + i s4."""
+    C, r, E, d = tables.assemble(x)
+    return C.copy(order="F"), r.copy(), E[: tables.M].copy(), d[: tables.M].copy()
+
+
 class TestSweepBuffers:
     def test_matches_allocating_assembly(self, sech_data):
         sd = sech_data
         for K in (None, 400):
             tables = inverse._FactorTables(sd, 25, K)
+            two_k = 2 * tables.K
             for x in (-2.0, 0.0, 1.3):
-                C, r = tables.assemble(x)
+                C, r, E, d = tables.assemble(x)
                 C_ref, r_ref, defect = _reference_complex(tables, x)
-                assert np.array_equal(C, C_ref) and np.array_equal(r, r_ref)
+                # the collocation rows, then the eigenvalue rows and their
+                # conjugates, in buffers of their own
+                assert C.flags.f_contiguous and C.shape == (two_k, 2 * 26)
+                assert np.array_equal(C, C_ref[:two_k]) and np.array_equal(r, r_ref[:two_k])
+                assert np.array_equal(E, C_ref[two_k:]) and np.array_equal(d, r_ref[two_k:])
                 assert defect <= 1e-15
                 A, B = tables.assemble_real(x)
                 A_ref, B_ref = _reference_assemble(tables, x)
@@ -192,13 +213,14 @@ class TestSweepBuffers:
         assert tables._A is None
 
     def test_sweep_equals_fresh_per_node_solves(self, sech_data):
+        # one constrained solve per node on fresh tables gives the same bits
         sd = sech_data
-        grid = zs.UniformGrid(1.0, 11)
-        X = inverse._solve_sweep(inverse._FactorTables(sd, 20), grid).X
-        for j, x in enumerate(grid.nodes):
-            C, r = inverse._FactorTables(sd, 20).assemble(float(x))
-            sol, _, _ = least_squares_solve(C, r)
-            assert np.array_equal(X[j], sol.view(float))
+        coeffs = inverse._solve_sweep(inverse._FactorTables(sd, 20), zs.UniformGrid(1.0, 11))
+        assert np.array_equal(coeffs.nodes, chebyshev_points(1.0, coeffs.nodes.size - 1))
+        for j, x in enumerate(coeffs.nodes):
+            C, r, E, d = inverse._FactorTables(sd, 20).assemble(float(x))
+            sol, _, _ = constrained_least_squares(C, r, E[: sd.M], d[: sd.M])
+            assert np.array_equal(coeffs.X[j], sol.view(float))
 
 
 class TestTrivialPipeline:
@@ -414,76 +436,100 @@ class TestNestedSelection:
         assert "selection_rank_truncated" not in info
 
 
+def _spy_reduced_solves(monkeypatch):
+    """Record every reduced system the sweep hands to ``least_squares_solve``
+    through ``zsscatter.inverse``, with the solve's result: (A, b, result)."""
+    calls = []
+    original = inverse.least_squares_solve
+
+    def spy(A, b):
+        result = original(A, b)
+        calls.append((A.copy(order="K"), b.copy(), result))
+        return result
+
+    monkeypatch.setattr(inverse, "least_squares_solve", spy)
+    return calls
+
+
 class TestSweepKernel:
     def test_two_stage_solve_matches_single_stage_sweep(self, ex1_direct):
+        # each node's constrained solve agrees with LAPACK zgglse on the same
+        # complex system, within n u kappa of the reduced system
         _, sd = ex1_direct
         tables = inverse._FactorTables(sd, 25, zs.InverseConfig().K)
-        grid = zs.UniformGrid(0.25, 21)
-        fast = inverse._solve_sweep(tables, grid)
-        ref = [_reference_lsq(*_reference_assemble(tables, float(x))) for x in grid.nodes]
-        X_ref = np.array([sol for sol, _, _ in ref])
-        assert np.max(np.abs(fast.X - X_ref)) <= 1e-12
-        assert fast.conditions.max() == pytest.approx(max(c for _, _, c in ref), rel=5e-4)
+        fast = inverse._solve_sweep(tables, zs.UniformGrid(0.25, 21))
+        assert fast.nodes.size == 17
+        for j, x in enumerate(fast.nodes):
+            C, r, E, d = _node_system(tables, float(x))
+            x_ref = _gglse(C, r, E, d).view(float)
+            bound = C.shape[1] * np.finfo(float).eps * fast.conditions[j]
+            assert np.max(np.abs(fast.X[j] - x_ref)) <= bound * np.max(np.abs(x_ref))
 
     def test_complex_form_matches_real_two_stage_solves(self, ex1_direct):
-        # the benchmark's ex1 sweep: every node is well conditioned, so the
-        # complex and the real two-stage solves agree to rounding
+        # the benchmark's ex1 sweep: the complex constrained solve agrees
+        # with the same solve of the real split, whose 2M real constraint
+        # rows are the real and imaginary parts of s3 + i s4
         _, sd = ex1_direct
-        grid = zs.UniformGrid(0.25, 21)
-        fast = inverse._solve_sweep(inverse._FactorTables(sd, 25, 1000), grid)
-        X_ref, res_ref, cond_ref = _real_sweep(sd, 25, 1000, grid)
-        assert not fast.truncated.any() and cond_ref.max() < 1e3
-        scale = np.max(np.abs(X_ref), axis=1)
-        assert np.all(np.max(np.abs(fast.X - X_ref), axis=1) <= 1e-12 * scale)
-        # the condition estimates are pivot ratios of two different pivoted
-        # QRs; their maxima agree as TestSweepKernel pins them, each node's
-        # to a fraction of a percent
-        assert fast.conditions.max() == pytest.approx(cond_ref.max(), rel=5e-4)
-        np.testing.assert_allclose(fast.conditions, cond_ref, rtol=1e-2)
-        np.testing.assert_allclose(fast.residuals, res_ref, rtol=1e-6)
-        for j, x in enumerate(grid.nodes):
-            _, B = _reference_assemble(inverse._FactorTables(sd, 25, 1000), float(x))
+        tables = inverse._FactorTables(sd, 25, 1000)
+        fast = inverse._solve_sweep(tables, zs.UniformGrid(0.25, 21))
+        assert not fast.truncated.any() and fast.conditions.max() < 1e3
+        for j, x in enumerate(fast.nodes):
+            rows, rhs = _reference_rows(tables, float(x))
+            S, t = np.vstack(rows[:2]), np.concatenate(rhs[:2])
+            A, B = np.vstack([S.real, S.imag]), np.concatenate([t.real, t.imag])
+            W, w = rows[2] + 1j * rows[3], rhs[2] + 1j * rhs[3]
+            X_ref, res_ref, cond_ref = constrained_least_squares(
+                np.asfortranarray(A), B, np.vstack([W.real, W.imag]),
+                np.concatenate([w.real, w.imag]))
+            assert np.max(np.abs(fast.X[j] - X_ref)) <= 1e-12 * np.max(np.abs(X_ref))
+            # pivot ratios of pivoted QRs of two reduced systems, whose
+            # null-space bases differ: estimates of one condition number
+            assert fast.conditions[j] == pytest.approx(cond_ref, rel=0.1)
+            assert fast.residuals[j] == pytest.approx(res_ref, rel=1e-6)
             assert fast.rhs_norms[j] == pytest.approx(np.linalg.norm(B), rel=1e-14)
 
-    def test_truncated_nodes_are_the_truncating_solves(self, ex1_direct):
+    def test_truncated_nodes_are_the_truncating_solves(self, ex1_direct, monkeypatch):
         # N = 90 on ex1 is past the rank tolerance at these nodes of
-        # [-4.8, 4.8]; the complex solve drops pivots in stage two there,
-        # as the explicit-Q reference stage two on the same factor does
+        # [-4.8, 4.8] even once the eigenvalue rows are eliminated; the
+        # reduced solve drops pivots in stage two there, as the explicit-Q
+        # reference stage two on the same factor does
         _, sd = ex1_direct
         cfg = zs.InverseConfig(N=90, K=400, x_half_width=4.8, x_points=5)
+        calls = _spy_reduced_solves(monkeypatch)
         _, coeffs, info = zs.solve_inverse(sd, cfg)
+        # 5 nodes cannot resolve the window, so the sweep climbs to 9
+        assert len(calls) == coeffs.nodes.size == 9
         assert np.array_equal(coeffs.truncated, coeffs.conditions > 1e12)
         assert info["sweep_rank_truncated"] == np.count_nonzero(coeffs.truncated) > 0
-        tables = inverse._FactorTables(sd, 90, 400)
-        for j, x in enumerate(cfg.x_grid().nodes):
-            C, r = tables.assemble(float(x))
-            factor, col_scale = qr_stage_one(C, r)
-            sol, cond, R, _ = _reference_stage_two(factor, C.shape[1])
-            X_ref = (sol / col_scale).view(float)
-            assert coeffs.conditions[j] == cond
+        assert info["constraint_residual"] <= 1e-12
+        # the solves in the order they were made, the nodes in ascending order
+        assert sorted(cond for _, _, (_, _, cond) in calls) == sorted(coeffs.conditions)
+        for A, b, (y, res, cond) in calls:
+            factor, col_scale = qr_stage_one(A, b)
+            sol, cond_ref, R, _ = _reference_stage_two(factor, A.shape[1])
+            y_ref = sol / col_scale
+            assert cond == cond_ref
             # the dropped unknowns are exactly zero
-            assert np.array_equal(coeffs.X[j] == 0.0, X_ref == 0.0)
+            assert np.array_equal(y == 0.0, y_ref == 0.0)
             # the two ways of applying Q^H differ by rounding, n u |c|, which
             # the kept triangle amplifies by up to its condition
             pivots = np.abs(np.diagonal(R))
             kept = pivots[pivots >= 1e-12 * pivots.max()]
-            bound = C.shape[1] * np.finfo(float).eps * kept.max() / kept.min()
-            assert np.max(np.abs(coeffs.X[j] - X_ref)) <= bound * np.max(np.abs(X_ref))
-            # the residual is that of the returned solution, in the real split
-            A, B = _reference_assemble(tables, float(x))
-            res = coeffs.residuals[j]
-            assert abs(res - np.linalg.norm(A @ coeffs.X[j] - B)) <= (
-                1e-8 * res + _matvec_error_bound(A, coeffs.X[j]))
+            bound = A.shape[1] * np.finfo(float).eps * kept.max() / kept.min()
+            assert np.max(np.abs(y - y_ref)) <= bound * np.max(np.abs(y_ref))
+            # the residual is that of the returned solution
+            assert abs(res - np.linalg.norm(A @ y - b)) <= (
+                1e-8 * res + _matvec_error_bound(A, y))
 
     def test_fallback_node_is_factored_once(self, ex1_direct, monkeypatch):
-        # a node near the rank edge gets its complex stage one and stage two
-        # and nothing else: no real split, no second solve
+        # a node near the rank edge gets its constraint QR, its reduced stage
+        # one and stage two, and nothing else: no real split, no second solve
         _, sd = ex1_direct
         tables = inverse._FactorTables(sd, 90, 400)
         calls = _count_factorizations(monkeypatch)
         coeffs = inverse._solve_sweep(tables, zs.UniformGrid(4.8, 5))
         assert coeffs.truncated.any() and coeffs.conditions.min() > 1e9
-        assert calls == [("geqrt", "D"), ("geqp3", "D")] * 5
+        assert calls == [("geqrf", "D"), ("geqrt", "D"), ("geqp3", "D")] * coeffs.nodes.size
         assert tables._A is None
 
     def test_no_fallbacks_on_the_benchmark_sweep(self, ex1_direct):
@@ -508,6 +554,110 @@ class TestSweepKernel:
                 sol, res, cond, _ = pivoted_qr_solve(other, B)
                 assert np.array_equal(sol, x_ref)
                 assert res == res_ref and cond == cond_ref
+
+
+class TestConstrainedNodeSolve:
+    def test_ex2_node_matches_gglse(self, ex2_direct):
+        # an edge node of the ex2 fixture's window at N = 60, where the
+        # eigenvalue rows grow like exp(+-35)
+        _, sd = ex2_direct
+        tables = inverse._FactorTables(sd, 60, 1000)
+        for x in (-7.0, 0.0, 7.0):
+            C, r, E, d = _node_system(tables, x)
+            x_ref = _gglse(C, r, E, d)
+            sol, res, cond = constrained_least_squares(C.copy(order="F"), r, E, d)
+            # the reduced system's condition; the LSE solution moves by
+            # n u kappa of it (Golub & Van Loan, section 6.2)
+            bound = C.shape[1] * np.finfo(float).eps * cond
+            assert np.max(np.abs(sol - x_ref)) <= bound * np.max(np.abs(x_ref))
+            assert res == pytest.approx(np.linalg.norm(C @ sol - r), rel=1e-8)
+            # both conjugate eigenvalue blocks hold
+            _, _, E2, d2 = tables.assemble(x)
+            defect = np.abs(E2 @ sol - d2) / (np.abs(E2) @ np.abs(sol) + np.abs(d2))
+            assert E2.shape[0] == 2 * sd.M and defect.max() <= 1e-12
+
+    def test_equal_eigenvalues_raise_naming_x(self, ex1_direct):
+        # two equal eigenvalues read from JSON give two equal constraint rows
+        _, sd = ex1_direct
+        payload = json.loads(zs.scattering_to_json(sd))
+        payload["eigenvalues"] *= 2
+        payload["norming"] *= 2
+        twice = zs.scattering_from_json(json.dumps(payload))
+        assert twice.M == 2
+        cfg = zs.InverseConfig(N=25, x_half_width=0.5, x_points=21)
+        with pytest.raises(RankDeficient, match=r"at x = -0\.5.*dependent"):
+            zs.solve_inverse(twice, cfg)
+
+
+def _spy_nodes(monkeypatch):
+    """Record the x of every node the sweep solves."""
+    xs = []
+    original = inverse._solve_node
+
+    def spy(tables, x):
+        xs.append(x)
+        return original(tables, x)
+
+    monkeypatch.setattr(inverse, "_solve_node", spy)
+    return xs
+
+
+class TestNodeLadder:
+    @pytest.mark.parametrize("x_points,first", [(5, 5), (7, 5), (11, 9), (17, 17), (31, 17),
+                                                (2001, 17)])
+    def test_first_level(self, x_points, first, monkeypatch):
+        # the first level is 17 nodes, or the largest 2^k + 1 within
+        # x_points; q = 0 is resolved at once, but standardChop needs 17
+        # coefficients to call a series resolved
+        xs = _spy_nodes(monkeypatch)
+        coeffs = inverse._solve_sweep(inverse._FactorTables(_trivial_data(), 5, 200),
+                                      zs.UniformGrid(3.0, x_points))
+        assert np.array_equal(coeffs.nodes, chebyshev_points(3.0, first - 1))
+        assert np.array_equal(xs, coeffs.nodes)
+        assert coeffs.x_resolved is (first == 17)
+
+    def test_climbs_while_unresolved_and_solves_each_node_once(self, ex1_direct, monkeypatch):
+        # the benchmark's ex1 sweep climbs 17 -> 33 -> 65 within 101 points
+        _, sd = ex1_direct
+        xs = _spy_nodes(monkeypatch)
+        _, coeffs, info = zs.solve_inverse(
+            sd, zs.InverseConfig(N=25, x_half_width=0.25, x_points=101))
+        assert info["x_nodes"] == coeffs.nodes.size == len(xs) == 65
+        assert info["x_resolved"] and coeffs.x_resolved
+        assert np.array_equal(coeffs.nodes, chebyshev_points(0.25, 64))
+        # every node solved once, the levels nested
+        assert np.array_equal(np.sort(xs), coeffs.nodes)
+        assert np.array_equal(xs[:17], chebyshev_points(0.25, 16))
+        assert np.array_equal(np.sort(xs[:33]), chebyshev_points(0.25, 32))
+        # each level below was unresolved, the last is resolved
+        for step in (4, 2, 1):
+            bound = np.max(np.abs(chebyshev_coefficients(coeffs.X[::step, :4])), axis=1)
+            assert (standard_chop(bound, np.finfo(float).eps) < bound.size) == (step == 1)
+
+    def test_cap_stops_the_climb_unresolved(self, ex2_direct):
+        # the benchmark's ex2 sweep: 65 nodes fit within 101 points, 129 do not
+        _, sd = ex2_direct
+        _, coeffs, info = zs.solve_inverse(
+            sd, zs.InverseConfig(N=60, x_half_width=5.0, x_points=101))
+        assert info["x_nodes"] == 65 and not info["x_resolved"]
+        assert 0.0 < info["chop_level"] < 1e-3
+        assert info["constraint_residual"] <= 1e-12
+
+
+class TestEx2Window:
+    # the ex2 selection picks N = 60 at default BLAS threads and N = 65 at
+    # one thread (eps 11.8 against 6.66); either must recover q on the
+    # fixture's window and grid
+    @pytest.mark.parametrize("N", [60, 65])
+    def test_either_selection_recovers_q(self, ex2_direct, N):
+        _, sd = ex2_direct
+        rec, _, info = zs.solve_inverse(sd, zs.InverseConfig(N=N, x_half_width=7.0))
+        g = rec.x_grid
+        lo = int(0.05 * g.n_points)
+        inner = slice(lo, g.n_points - lo)
+        err = np.max(np.abs(rec.chosen[inner] - (5.0 + np.pi / 7.0) / np.cosh(g.nodes[inner])))
+        assert err <= 0.5
+        assert info["constraint_residual"] <= 1e-12
 
 
 class TestRoundtrips:
@@ -543,33 +693,69 @@ class TestRoundtrips:
 
     def test_coefficient_curves_smooth(self, ex1_roundtrip):
         rec, coeffs, _, _ = ex1_roundtrip
-        g = coeffs.x_grid
-        slope = differentiate(g, coeffs.re_b0)
+        slope = chebyshev_values(chebyshev_derivative(
+            chebyshev_coefficients(coeffs.re_b0), coeffs.x_grid.half_width))
         # b0 varies on the scale of the potential itself
         assert np.max(np.abs(slope)) < 4.0 * np.pi
+
+    @pytest.mark.parametrize("fixture", [
+        "ex1_roundtrip", "ex2_roundtrip", "ex3_roundtrip", "ex4_roundtrip",
+    ])
+    def test_constraints_hold_on_resolved_nodes(self, fixture, request):
+        # both conjugate eigenvalue blocks hold to rounding at every node,
+        # and the ladder resolved b0, a0 within the output grid's count
+        _, coeffs, info, _ = request.getfixturevalue(fixture)
+        assert info["constraint_residual"] == np.max(coeffs.constraint_residuals) <= 1e-12
+        assert info["x_resolved"] and info["x_nodes"] == coeffs.nodes.size
+        assert coeffs.nodes.size <= coeffs.x_grid.n_points
+        assert info["chop_level"] < 1e-10
 
     def test_self_consistency_example4(self, ex4_full_table, ex4_roundtrip):
         _, coeffs, _, _ = ex4_roundtrip
         table = ex4_full_table
         spline_r = CubicSpline(table.grid.nodes, table.b[0].real)
         spline_i = CubicSpline(table.grid.nodes, table.b[0].imag)
-        x = coeffs.x_grid.nodes
+        x = coeffs.nodes
         err = np.hypot(coeffs.re_b0 - spline_r(x), coeffs.im_b0 - spline_i(x))
         assert np.max(err) < 1e-4
 
 
+def _coefficients(X, half_width=2.0, x_points=41):
+    """RecoveredCoefficients of given order-zero rows at Chebyshev nodes."""
+    n = X.shape[0]
+    return RecoveredCoefficients(
+        x_grid=zs.UniformGrid(half_width, x_points), nodes=chebyshev_points(half_width, n - 1),
+        N=1, X=X, residuals=np.zeros(n), rhs_norms=np.ones(n), conditions=np.ones(n),
+        truncated=np.zeros(n, dtype=bool), constraint_residuals=np.zeros(n),
+        x_resolved=True, chop_level=0.0,
+    )
+
+
 class TestRecovery:
     def test_denominator_guard(self):
-        g = zs.UniformGrid(2.0, 41)
-        X = np.zeros((41, 8))
+        X = np.zeros((17, 8))
         X[:, 1] = 1.0  # Im b0 == 1 makes the b-side denominator vanish
-        coeffs = RecoveredCoefficients(
-            x_grid=g, N=1, X=X,
-            residuals=np.zeros(41), rhs_norms=np.ones(41),
-            conditions=np.ones(41), truncated=np.zeros(41, dtype=bool),
-        )
         with pytest.raises(DenominatorNearZero):
-            recover_potential(coeffs)
+            recover_potential(_coefficients(X))
+        # at one node only, the window's edge, it still poisons the interpolant
+        X[:, 1] = 0.0
+        X[0, 2] = -1.0  # 1 + Re a0 + Im a0 == 0 there
+        with pytest.raises(DenominatorNearZero):
+            recover_potential(_coefficients(X))
+
+    def test_recovery_is_spectral_and_interpolates_to_the_output_grid(self):
+        # order-zero curves of a known q: with b0 = f(x) real and Im b0 = 0,
+        # q_b = (1/2 (1 + f) + f') / (-1 - f) + 1/2 = -f' / (1 + f)
+        half_width = 2.0
+        x = chebyshev_points(half_width, 32)
+        f = 0.3 * np.tanh(x)
+        X = np.zeros((33, 8))
+        X[:, 0] = f
+        rec = recover_potential(_coefficients(X, half_width, 41))
+        g = np.linspace(-half_width, half_width, 41)
+        exact = -0.3 / np.cosh(g) ** 2 / (1.0 + 0.3 * np.tanh(g))
+        assert np.array_equal(rec.x_grid.nodes, zs.UniformGrid(half_width, 41).nodes)
+        assert np.max(np.abs(rec.chosen - exact)) <= 1e-8
 
     @pytest.mark.parametrize("candidates", [(), (0,), (5, -10), (5, 2.5), ("10",), (5, True)])
     def test_invalid_candidates_rejected(self, candidates):
@@ -594,7 +780,7 @@ class TestRecovery:
         _, coeffs, info = zs.solve_inverse(
             sd, zs.InverseConfig(N=np.int64(5), x_points=11, x_half_width=0.1))
         assert info["chosen_N"] == 5 and type(info["chosen_N"]) is int
-        assert coeffs.N == 5 and coeffs.X.shape == (11, 24)
+        assert coeffs.N == 5 and coeffs.X.shape == (9, 24)
         assert zs.InverseConfig(K=np.int32(300), selection_K=np.int64(200)).K == 300
 
     @pytest.mark.parametrize("field", ["x_points", "selection_x_points"])
@@ -610,6 +796,19 @@ class TestRecovery:
             zs.solve_inverse(sd, cfg)
         # a ValueError for library callers, a ZSScatterError (exit 2) for the CLI
         assert isinstance(err.value, ZSScatterError)
+
+    def test_underdetermined_sweep_rejected(self, sech_data):
+        # K = N = 10: with an eigenvalue, K + M >= N + 1 holds and the tables
+        # are built, but the sweep's reduced system has 2K rows for
+        # 2(N + 1) - M unknowns; without one, the tables refuse already
+        if sech_data.M == 0:
+            with pytest.raises(UnderdeterminedSystem, match="K \\+ M >= N \\+ 1"):
+                inverse._FactorTables(sech_data, 10, 10)
+            return
+        tables = inverse._FactorTables(sech_data, 10, 10)
+        assert tables.K == 10
+        with pytest.raises(UnderdeterminedSystem, match=r"2K \+ M >= 2\(N \+ 1\)"):
+            inverse._solve_sweep(tables, zs.UniformGrid(1.0, 11))
 
     @pytest.mark.parametrize("N", [3000, "auto"])
     def test_underdetermined_rejected_before_the_tables(self, N, monkeypatch):

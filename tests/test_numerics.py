@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import zsscatter as zs
 from zsscatter import basis as basis_module, direct as direct_module, numerics
 from zsscatter.coeffs import DEFAULT_N_MAX
-from zsscatter.errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
+from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
 from zsscatter.jost import JostFactors, z_of_rho
 from zsscatter.numerics import (
     CumulativeIntegrator,
@@ -444,14 +444,18 @@ class TestPolynomialRoots:
         with pytest.raises(DegreeZero):
             polynomial_roots([3.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
     def test_leading_coefficients_past_the_float_range_dropped(self):
         # a(z) of q = 8.5e-158 sech(2x): its roots lie past the float range,
         # and the companion matrix overflowed (NoConvergence)
         with pytest.raises(DegreeZero):
             polynomial_roots([1.0, -3.40445957e-315, -1.70222978e-315])
         assert np.array_equal(polynomial_roots([2.0, 1.0, 0.0, 1e-320]), [-2.0])
-        with pytest.raises(NoConvergence):
-            polynomial_roots([np.nan, 1.0, 1e-320])
+        # a NaN passes the overflow guard (np.isinf(nan) is False); it is
+        # refused before np.roots can warn "overflow encountered in divide"
+        for bad in ([np.nan, 1.0, 1e-320], [1.0, np.inf, 2.0], [1.0, 2.0, complex(0, np.nan)]):
+            with pytest.raises(NonFiniteValue, match="finite"):
+                polynomial_roots(bad)
 
     @given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=8))
     # a double root: p' there is rounding noise, and an unchecked Newton
@@ -999,3 +1003,145 @@ class TestDifferentiate:
         g = UniformGrid(1.0, 2001)
         d = differentiate(g, np.sin(g.nodes))
         assert np.max(np.abs(d - np.cos(g.nodes))) < 1e-10
+
+
+def _lse_system(m, n, p, seed, dtype=complex, row_spread=8.0):
+    """A random least-squares problem with p equality constraints whose rows
+    span 10^(+-row_spread) in scale, as the sweep's eigenvalue rows do."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+    A, b, E, d = draw(m, n), draw(m), draw(p, n), draw(p)
+    scale = 10.0 ** rng.uniform(-row_spread, row_spread, size=p)
+    return A, b, E * scale[:, None], d * scale
+
+
+def _gglse(A, b, E, d):
+    """LAPACK ?gglse: min ||A x - b|| subject to E x = d, the reference."""
+    gglse = scipy.linalg.lapack.zgglse if np.iscomplexobj(A) else scipy.linalg.lapack.dgglse
+    *_, x, info = gglse(A.copy(), E.copy(), b.copy(), d.copy())
+    assert info == 0
+    return x
+
+
+class TestConstrainedLeastSquares:
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_gglse(self, seed, dtype):
+        # x agrees with LAPACK's generalized-RQ solve within n u kappa of the
+        # reduced system (kappa its pivot ratio); the constraints hold to
+        # rounding relative to |E| |x| + |d|
+        m, n, p = 60, 12, 1 + seed % 4
+        A, b, E, d = _lse_system(m, n, p, seed, dtype)
+        x_ref = _gglse(A, b, E, d)
+        work = np.asfortranarray(A.copy())
+        x, res, cond = numerics.constrained_least_squares(work, b, E, d)
+        assert x.dtype == np.result_type(A, np.float64)
+        bound = n * np.finfo(float).eps * cond
+        assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
+        assert res == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-10)
+        defect = np.abs(E @ x - d) / (np.abs(E) @ np.abs(x) + np.abs(d))
+        assert defect.max() <= 1e-12
+
+    def test_overwrites_a_only(self):
+        A, b, E, d = _lse_system(30, 8, 2, 1)
+        work = np.asfortranarray(A.copy())
+        copies = [b.copy(), E.copy(), d.copy()]
+        numerics.constrained_least_squares(work, b, E, d)
+        assert not np.array_equal(work, A)
+        for kept, before in zip((b, E, d), copies):
+            assert np.array_equal(kept, before)
+
+    def test_no_constraints_is_the_least_squares_solve(self):
+        A, b, E, d = _lse_system(30, 8, 0, 2)
+        got = numerics.constrained_least_squares(np.asfortranarray(A), b, E, d)
+        want = least_squares_solve(A, b)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_reduced_solve_goes_through_the_given_solver(self):
+        A, b, E, d = _lse_system(30, 8, 3, 3)
+        seen = []
+
+        def solve(A2, b2):
+            seen.append(A2.shape)
+            return least_squares_solve(A2, b2)
+
+        numerics.constrained_least_squares(np.asfortranarray(A), b, E, d, solve=solve)
+        assert seen == [(30, 5)]
+
+    def test_dependent_constraints_raise(self):
+        A, b, E, d = _lse_system(30, 8, 2, 4)
+        twice = np.vstack([E, 1e6 * E[:1]])
+        with pytest.raises(RankDeficient, match="dependent"):
+            numerics.constrained_least_squares(
+                np.asfortranarray(A), b, twice, np.append(d, 1e6 * d[0]))
+        with pytest.raises(RankDeficient, match="9 constraints on 8 unknowns"):
+            numerics.constrained_least_squares(
+                np.asfortranarray(A), b, np.ones((9, 8), complex), np.ones(9, complex))
+
+    def test_a_must_be_column_major_in_the_solve_dtype(self):
+        A, b, E, d = _lse_system(30, 8, 2, 5)
+        for bad in (np.ascontiguousarray(A), np.asfortranarray(A.real)):
+            with pytest.raises(ValueError, match="column-major"):
+                numerics.constrained_least_squares(bad, b, E, d)
+
+
+class TestChebyshev:
+    def test_points(self):
+        for n in (4, 16, 64):
+            x = numerics.chebyshev_points(3.0, n)
+            assert x.size == n + 1 and np.all(np.diff(x) > 0)
+            assert x[0] == -3.0 and x[-1] == 3.0 and x[n // 2] == 0.0
+            assert np.array_equal(x, -x[::-1])
+            np.testing.assert_allclose(x, -3.0 * np.cos(np.pi * np.arange(n + 1) / n),
+                                       atol=1e-15)
+            # a level is every other point of the next one
+            assert np.array_equal(numerics.chebyshev_points(3.0, 2 * n)[::2], x)
+
+    def test_coefficients_of_chebyshev_polynomials(self):
+        n = 16
+        t = numerics.chebyshev_points(1.0, n)
+        for k in (0, 3, n):
+            c = numerics.chebyshev_coefficients(np.cos(k * np.arccos(t)))
+            np.testing.assert_allclose(c, np.eye(n + 1)[k], atol=1e-14)
+        values = np.column_stack([np.exp(t), np.sin(3 * t)])
+        back = numerics.chebyshev_values(numerics.chebyshev_coefficients(values))
+        assert np.max(np.abs(back - values)) <= 1e-15
+
+    def test_derivative(self):
+        half_width = 2.5
+        x = numerics.chebyshev_points(half_width, 48)
+        f = np.column_stack([np.exp(np.sin(x)), x ** 5])
+        c = numerics.chebyshev_coefficients(f)
+        d = numerics.chebyshev_values(numerics.chebyshev_derivative(c, half_width))
+        assert np.max(np.abs(d[:, 0] - np.cos(x) * np.exp(np.sin(x)))) <= 1e-11
+        assert np.max(np.abs(d[:, 1] - 5 * x ** 4)) <= 1e-10
+
+    def test_standard_chop_examples_of_the_paper(self):
+        # Aurentz & Trefethen, ACM TOMS 43 (2017), and Chebfun's standardChop
+        k = np.arange(1, 51)
+        coeffs, noise = 10.0 ** -k, np.cos(k ** 2.0)
+        eps = np.finfo(float).eps
+        assert numerics.standard_chop(coeffs, eps) == 18
+        assert numerics.standard_chop(coeffs + 1e-16 * noise, eps) == 15
+        assert numerics.standard_chop(coeffs + 1e-13 * noise, eps) == 13
+        assert numerics.standard_chop(coeffs + 1e-10 * noise, eps) == 50
+        assert numerics.standard_chop(coeffs + 1e-10 * noise, 1e-10) == 10
+        # too short to judge, and all zero
+        assert numerics.standard_chop(coeffs[:16], eps) == 16
+        assert numerics.standard_chop(np.zeros(20), eps) == 1
+
+    def test_barycentric_interpolation(self):
+        x = numerics.chebyshev_points(2.0, 20)
+        out = np.linspace(-2.0, 2.0, 41)
+        poly = np.column_stack([out ** k for k in (0, 7, 20)])
+        got = numerics.barycentric_interpolate(x, np.column_stack([x ** k for k in (0, 7, 20)]),
+                                               out)
+        assert np.max(np.abs(got - poly)) <= 1e-12 * np.max(np.abs(poly))
+        # a point on a node takes its value exactly
+        values = np.sin(x)
+        at_nodes = numerics.barycentric_interpolate(x, values, x)
+        assert np.array_equal(at_nodes, values)
