@@ -62,9 +62,12 @@ def _add_inverse_options(sub):
                           "more than 1%% apart")
     sub.add_argument("--collocation", type=int, default=1000,
                      help="at most this many collocation points, drawn from the rho "
-                          "grid; targets that land on one grid point count once, so "
-                          "fewer may be used (397 for 1000 on the default 4000-point "
-                          "grid), and collocation_count reports the number used")
+                          "grid; targets that land on one grid point count once (397 "
+                          "for 1000 on the default 4000-point grid). For real q the "
+                          "sweep reads the points of one half line, each standing for "
+                          "itself and its mirror (199 of those 397); the N-selection "
+                          "keeps them all. collocation_count reports the number the "
+                          "sweep reads")
     sub.add_argument("--inverse-n", default="auto",
                      help='inverse truncation order, or "auto"')
 
@@ -196,6 +199,7 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],
         "constraint_residual": info["constraint_residual"],
+        "parity_defect": info["parity_defect"],
         "discrepancy": info["discrepancy"],
     }
     with open(os.path.join(out_dir, "inverse_summary.json"), "w",

@@ -395,9 +395,9 @@ def scattering_to_json(sd: ScatteringData) -> str:
 def scattering_from_json(text: str) -> ScatteringData:
     """Parse scattering JSON; malformed or inconsistent input raises InvalidScatteringData.
 
-    The rho grid must hold at least 2 increasing points, ``n_terms`` must be
-    an integer >= 0 (not a bool) and ``potential_desc`` a string; absent,
-    they read as 0 and "".
+    The rho grid must hold at least 2 increasing points, the eigenvalues
+    must be distinct, ``n_terms`` must be an integer >= 0 (not a bool) and
+    ``potential_desc`` a string; absent, they read as 0 and "".
     """
     try:
         payload = json.loads(text)
@@ -431,6 +431,14 @@ def scattering_from_json(text: str) -> ScatteringData:
     if norming.size != ev_rho.size:
         raise InvalidScatteringData(
             f"{norming.size} norming constants for {ev_rho.size} eigenvalues"
+        )
+    # equal eigenvalues give equal eigenvalue rows, which the inverse sweep
+    # cannot hold as independent constraints
+    equal = np.argwhere(np.triu(ev_rho[:, None] == ev_rho, k=1))
+    if equal.size:
+        i, j = equal[0]
+        raise InvalidScatteringData(
+            f"eigenvalues {i} and {j} are equal (rho = {ev_rho[i]:g})"
         )
     n_terms = payload.get("n_terms", 0)
     if not _is_order(n_terms):

@@ -26,7 +26,7 @@ from .numerics import (
     qr_stage_two,
     standard_chop,
 )
-from .direct import ScatteringData
+from .direct import ScatteringData, validate_scattering
 
 __all__ = [
     "InverseConfig",
@@ -53,9 +53,11 @@ class InverseConfig:
     ``K`` bounds the distinct rho points the solve uses: ``K`` targets
     evenly spaced in theta = arg z(rho) go to the nearest grid node, and
     targets on one node count once (K = 1000 gives 397 on the default
-    4000-point rho grid).  ``info["collocation_count"]`` reports the number
-    used.  ``N``
-    may be an integer >= 1 (any ``numbers.Integral`` but ``bool``) or
+    4000-point rho grid).  Since q is real, the sweep reads the chosen
+    nodes of one half line only, each standing for itself and its mirror
+    -rho (199 of the 397); the N-selection keeps the full set.
+    ``info["collocation_count"]`` reports the number the sweep reads.
+    ``N`` may be an integer >= 1 (any ``numbers.Integral`` but ``bool``) or
     "auto", in which case the Wronskian flatness criterion picks it from
     ``candidates`` (integers >= 1, in any order, repeats counted once) on
     the coarser selection grid with ``selection_K`` collocation targets
@@ -101,8 +103,9 @@ class RecoveredCoefficients:
     the window of ``x_grid`` (ascending), and the recovery interpolates q to
     ``x_grid``, the uniform output grid.  ``X`` holds, per node, Re b_n,
     Im b_n, Re a_n, Im a_n for n = 0..N (degree order).  ``residuals`` and
-    ``rhs_norms`` are those of the real split of the collocation rows: the
-    norms of their complex form divided by sqrt 2, the same number in exact
+    ``rhs_norms`` are norms over the collocation rows of the rho nodes the
+    sweep reads, one half line of the chosen ones: those of the real split,
+    or of the complex form divided by sqrt 2, the same number in exact
     arithmetic.  ``conditions`` holds each node's ratio of largest to
     smallest pivot of the system left once the eigenvalue rows are
     eliminated, and ``truncated`` marks the nodes whose solve dropped
@@ -161,6 +164,14 @@ class RecoveredPotential:
 _SQRT2 = np.sqrt(2.0)
 
 
+def _half_line(rho: np.ndarray) -> np.ndarray:
+    """Mask of the half line with more of the points: rho >= 0, or rho <= 0
+    when more points lie below 0.  A point at rho = 0 goes with either."""
+    if np.count_nonzero(rho > 0.0) >= np.count_nonzero(rho < 0.0):
+        return rho >= 0.0
+    return rho <= 0.0
+
+
 def _pair_rows(r1: np.ndarray, r2: np.ndarray, out: np.ndarray) -> None:
     """out = [r1 + i r2, conj(r1 - i r2)], the complex form of a pair of rows."""
     n = r1.size
@@ -190,9 +201,19 @@ class _FactorTables:
     own both forms' matrices and reuse them for every node, so a sweep
     allocates no matrix-sized array per node; each form's buffers are
     allocated at its first use.
+
+    With ``half_line`` the tables keep the chosen nodes of one half line
+    only: rho >= 0, or rho <= 0 when more of the chosen nodes lie below 0.
+    For real q, a(-rho) = conj a(rho) and b(-rho) = conj b(rho), so the row
+    s1 + i s2 at -rho, right-hand side included, is the row
+    conj(s1 - i s2) at rho: the complex form at the K nodes kept is the
+    complex form at {+-rho_k} with every row counted once instead of
+    twice, and has its least-squares minimizer.  Only the sweep reads one
+    half line; the real split of the selection keeps every chosen node.
     """
 
-    def __init__(self, sd: ScatteringData, N: int, K: int | None = None):
+    def __init__(self, sd: ScatteringData, N: int, K: int | None = None,
+                 half_line: bool = False):
         if len(sd.norming_constants) != sd.M:
             raise MissingSpectrumData(
                 f"{len(sd.norming_constants)} norming constants for {sd.M} eigenvalues")
@@ -206,6 +227,8 @@ class _FactorTables:
             theta = 2.0 * np.arctan(2.0 * rho_full)
             targets = np.linspace(theta[0], theta[-1], K)
             idx = np.unique(np.searchsorted(theta, targets).clip(0, rho_full.size - 1))
+        if half_line:
+            idx = idx[_half_line(rho_full[idx])]
         self.K = idx.size
         self.M = sd.M
         self.N = N
@@ -560,8 +583,28 @@ def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
     )
 
 
+# Largest |rho_k + rho_{n-1-k}|, relative to max |rho|, at which the rho
+# grid counts as mirror-symmetric
+_MIRROR_TOL = 1e-12
+
+
+def _parity_defect(sd: ScatteringData) -> float | None:
+    """The larger of the a and b parity defects of ``validate_scattering``,
+    max |f(-rho) - conj f(rho)|; None when the rho grid is not
+    mirror-symmetric, so that -rho is not a grid point."""
+    rho = sd.rho_grid
+    if np.max(np.abs(rho + rho[::-1])) > _MIRROR_TOL * np.max(np.abs(rho)):
+        return None
+    report = validate_scattering(sd)
+    return max(report["a_parity_defect"], report["b_parity_defect"])
+
+
 def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
-    """Full inverse pipeline; returns (potential, coefficients, info)."""
+    """Full inverse pipeline; returns (potential, coefficients, info).
+
+    The sweep reads the rho nodes of one half line and trusts parity for
+    the other; ``info["parity_defect"]`` is how far the data depart from
+    it (None for a rho grid that is not mirror-symmetric)."""
     info: dict = {}
     if cfg.N == "auto":
         N, eps_table, fallbacks, truncated = select_truncation_inverse(sd, cfg)
@@ -571,9 +614,9 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     else:
         N = int(cfg.N)
     info["chosen_N"] = N
-    tables = _FactorTables(sd, N, cfg.K)
-    # subsampling in theta can land several targets on one rho node, so
-    # fewer distinct points than cfg.K may enter the solve
+    tables = _FactorTables(sd, N, cfg.K, half_line=True)
+    # subsampling in theta can land several targets on one rho node, and
+    # the sweep reads the chosen nodes of one half line
     info["collocation_count"] = tables.K
     coeffs = _solve_sweep(tables, cfg.x_grid())
     info["x_nodes"] = int(coeffs.nodes.size)
@@ -583,6 +626,7 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     info["max_residual"] = float(np.max(coeffs.residuals))
     info["max_condition"] = float(np.max(coeffs.conditions))
     info["constraint_residual"] = float(np.max(coeffs.constraint_residuals))
+    info["parity_defect"] = _parity_defect(sd)
     recovered = recover_potential(coeffs)
     info["discrepancy"] = recovered.discrepancy
     return recovered, coeffs, info

@@ -228,12 +228,31 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
                 "--x-points", "21", "--collocation", "150",
                 "--inverse-n", "5", "--output-dir", str(inv_dir)]) == 0
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
-    assert 0 < summary["collocation_count"] < 150
+    # the sweep reads the chosen points of one half line of the 200-point grid
+    assert 0 < summary["collocation_count"] <= 100
     assert summary["selection_fallbacks"] == 0
     assert "sweep_fallbacks" not in summary
     assert summary["selection_rank_truncated"] == 0
     assert summary["sweep_rank_truncated"] == 0
     assert {"x_nodes", "x_resolved", "chop_level", "constraint_residual"} <= summary.keys()
+    # q = 0: a = 1 and b = 0 are exactly even
+    assert summary["parity_defect"] == 0.0
+
+
+def test_inverse_summary_parity_defect_is_null_on_a_lopsided_grid(tmp_path):
+    out_dir = tmp_path / "direct"
+    assert run(["direct", "--potential", "preset:zero", "--grid-points", "401",
+                "--rho-count", "200", "--output-dir", str(out_dir)]) == 0
+    path = out_dir / "scattering.json"
+    payload = json.loads(path.read_text())
+    for key in ("rho", "a_re", "a_im", "b_re", "b_im"):
+        payload[key] = payload[key][:150]
+    path.write_text(json.dumps(payload))
+    assert run(["inverse", "--scattering", str(path), "--x-points", "21",
+                "--collocation", "150", "--inverse-n", "5",
+                "--output-dir", str(tmp_path / "inverse")]) == 0
+    summary = json.loads((tmp_path / "inverse" / "inverse_summary.json").read_text())
+    assert summary["parity_defect"] is None
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):
@@ -286,6 +305,9 @@ def _scattering_text(drop=None, **changes):
     pytest.param(_scattering_text(eigenvalues=[{"re": 0.0, "im": -0.5}]),
                  id="eigenvalue-not-in-upper-half-plane"),
     pytest.param(_scattering_text(norming=[]), id="norming-count"),
+    pytest.param(_scattering_text(eigenvalues=[{"re": 0.0, "im": 0.5}] * 2,
+                                  norming=[{"re": 1.0, "im": 0.0}] * 2),
+                 id="equal-eigenvalues"),
     *[pytest.param(_scattering_text(n_terms=v), id=f"n_terms-{kind}")
       for kind, v in [("string", "abc"), ("list", [1]), ("fraction", 3.7), ("float", 3.0),
                       ("bool", True), ("negative", -4), ("null", None)]],

@@ -27,7 +27,7 @@ from zsscatter.direct import (
     reflection,
     transmission,
 )
-from zsscatter.errors import DegreeZero, DivisionNearZero, UnstableSpectrum
+from zsscatter.errors import DegreeZero, DivisionNearZero, InvalidScatteringData, UnstableSpectrum
 from zsscatter.jost import JostFactors, rho_of_z, z_of_rho
 from zsscatter.numerics import horner, polynomial_roots
 from zsscatter.potentials import write_potential_csv
@@ -179,6 +179,17 @@ def test_json_roundtrip(ex1_direct):
     assert sd2.potential_desc == sd.potential_desc != ""
     # deterministic: serializing the parsed copy is byte-identical
     assert zs.scattering_to_json(sd2) == text
+
+
+def test_json_with_equal_eigenvalues_refused_naming_the_pair(ex3_direct):
+    # equal eigenvalues would give the inverse sweep dependent constraint rows
+    _, sd = ex3_direct
+    payload = json.loads(zs.scattering_to_json(sd))
+    assert len(payload["eigenvalues"]) == 2
+    payload["eigenvalues"].append(payload["eigenvalues"][1])
+    payload["norming"].append(payload["norming"][1])
+    with pytest.raises(InvalidScatteringData, match=r"eigenvalues 1 and 2 are equal"):
+        zs.scattering_from_json(json.dumps(payload))
 
 
 def test_json_without_n_terms_and_description(zero_direct):

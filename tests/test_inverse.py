@@ -1,5 +1,6 @@
 """Inverse problem: system assembly, sweeps, N selection, recovery."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -250,8 +251,11 @@ class TestTrivialPipeline:
         for K in (200, 400):
             cfg = zs.InverseConfig(x_half_width=4.0, x_points=11, K=K, N=5)
             _, _, info = zs.solve_inverse(sd, cfg)
-            # two complex rows per rho node: s1 + i s2 and conj(s1 - i s2)
+            # two complex rows per rho node: s1 + i s2 and conj(s1 - i s2),
+            # at the chosen nodes of one half line
             assert info["collocation_count"] == rows[-1] // 2
+            chosen = inverse._FactorTables(sd, 5, K).rho
+            assert info["collocation_count"] == np.count_nonzero(chosen > 0) < chosen.size
         # theta-uniform subsampling merges targets near rho = 0
         _, _, info = zs.solve_inverse(sd, zs.InverseConfig(x_half_width=4.0, x_points=11, K=200, N=5))
         assert info["collocation_count"] < 200
@@ -577,16 +581,134 @@ class TestConstrainedNodeSolve:
             assert E2.shape[0] == 2 * sd.M and defect.max() <= 1e-12
 
     def test_equal_eigenvalues_raise_naming_x(self, ex1_direct):
-        # two equal eigenvalues read from JSON give two equal constraint rows
+        # two equal eigenvalues give two equal constraint rows (JSON input
+        # refuses them when it is read)
         _, sd = ex1_direct
-        payload = json.loads(zs.scattering_to_json(sd))
-        payload["eigenvalues"] *= 2
-        payload["norming"] *= 2
-        twice = zs.scattering_from_json(json.dumps(payload))
+        twice = dataclasses.replace(sd, eigenvalues=sd.eigenvalues * 2,
+                                    norming_constants=np.tile(sd.norming_constants, 2))
         assert twice.M == 2
         cfg = zs.InverseConfig(N=25, x_half_width=0.5, x_points=21)
         with pytest.raises(RankDeficient, match=r"at x = -0\.5.*dependent"):
             zs.solve_inverse(twice, cfg)
+
+
+def _mirrored(sd, tables):
+    """The data at +-rho of the tables' nodes, conj a and conj b at -rho: a
+    node at rho = 0 enters twice, as +0 and -0."""
+    rho, a, b = tables.rho, tables.a, tables.b
+    return dataclasses.replace(
+        sd, rho_grid=np.concatenate([-rho[::-1], rho]),
+        a_values=np.concatenate([np.conj(a[::-1]), a]),
+        b_values=np.concatenate([np.conj(b[::-1]), b]))
+
+
+def _cut_json(sd, keep):
+    """``sd`` through JSON with the rho points where ``keep(rho)`` holds."""
+    payload = json.loads(zs.scattering_to_json(sd))
+    mask = keep(np.array(payload["rho"]))
+    for key in ("rho", "a_re", "a_im", "b_re", "b_im"):
+        payload[key] = np.array(payload[key])[mask].tolist()
+    return zs.scattering_from_json(json.dumps(payload))
+
+
+def _record_tables(monkeypatch):
+    """Record every ``_FactorTables`` built through ``zsscatter.inverse``."""
+    built = []
+
+    class Recording(inverse._FactorTables):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(inverse, "_FactorTables", Recording)
+    return built
+
+
+class TestHalfLine:
+    @pytest.mark.parametrize("fixture,N,half_width", [
+        ("ex1_direct", 25, 8.0), ("ex4_direct", 25, 8.0), ("ex2_direct", 60, 7.0)])
+    def test_sweep_matches_the_mirrored_full_system(self, fixture, N, half_width, request):
+        # for real q the row s1 + i s2 at -rho is conj(s1 - i s2) at rho, so
+        # the half-line sweep solves the full system on {+-rho_k} of its nodes
+        _, sd = request.getfixturevalue(fixture)
+        _, coeffs, info = zs.solve_inverse(
+            sd, zs.InverseConfig(N=N, x_half_width=half_width, x_points=17))
+        half = inverse._FactorTables(sd, N, 1000, half_line=True)
+        assert info["collocation_count"] == half.K == 199 and np.all(half.rho > 0)
+        full = inverse._FactorTables(_mirrored(sd, half), N)
+        assert full.K == 2 * half.K
+        for j in range(0, coeffs.nodes.size, 4):
+            sol, res, rhs_norm, _, _ = inverse._solve_node(full, float(coeffs.nodes[j]))
+            X_ref = sol.view(float)
+            assert np.max(np.abs(coeffs.X[j] - X_ref)) <= 1e-12 * np.max(np.abs(X_ref))
+            # each row counted once instead of twice
+            assert coeffs.residuals[j] == pytest.approx(res / 2.0, rel=1e-6)
+            assert coeffs.rhs_norms[j] == pytest.approx(rhs_norm / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("keep,positive", [
+        (lambda rho: rho >= -5.0, True), (lambda rho: rho <= 0.0, False)],
+        ids=["rho>=-5", "rho<=0"])
+    def test_lopsided_grid_reads_the_fuller_half(self, ex1_direct, keep, positive,
+                                                 monkeypatch):
+        # a JSON grid cut to [-5, 30] reads rho > 0, one cut to rho <= 0 the
+        # negative half; both recover q within ex1's roundtrip bound, and
+        # neither grid is mirror-symmetric, so no parity defect is reported
+        _, sd = ex1_direct
+        cut = _cut_json(sd, keep)
+        chosen = inverse._FactorTables(cut, 25, 1000).rho
+        built = _record_tables(monkeypatch)
+        rec, _, info = zs.solve_inverse(cut, zs.InverseConfig(N=25, x_half_width=3.0,
+                                                              x_points=257))
+        (tables,) = built
+        # every chosen node on the fuller side, and only those
+        assert np.array_equal(tables.rho, chosen[chosen > 0] if positive else chosen[chosen < 0])
+        assert info["collocation_count"] == tables.K
+        assert info["parity_defect"] is None
+        g = rec.x_grid
+        lo = int(0.05 * g.n_points)
+        inner = slice(lo, g.n_points - lo)
+        err = np.max(np.abs(rec.chosen[inner] - np.pi / np.cosh(np.pi * g.nodes[inner])))
+        assert err <= 1e-5
+
+    def test_zero_goes_with_the_half_read(self):
+        # the fuller side is read, rho > 0 on a tie, and rho = 0 with it
+        rho = np.array([-1.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(inverse._half_line(rho), [False, True, True, True])
+        assert np.array_equal(inverse._half_line(-rho), [False, True, True, True])
+        assert np.array_equal(inverse._half_line(rho[:3]), [False, True, True])
+
+    def test_selection_keeps_the_full_node_set(self, monkeypatch):
+        # the selection's real split reads every chosen node, the final
+        # sweep one half line of them
+        sd = _trivial_data()
+        selection_rho = inverse._FactorTables(sd, 10, 150).rho
+        sweep_rho = inverse._FactorTables(sd, 5, 200).rho
+        built = _record_tables(monkeypatch)
+        cfg = zs.InverseConfig(x_half_width=4.0, x_points=11, K=200, candidates=(5, 10),
+                               selection_x_points=21, selection_K=150)
+        _, _, info = zs.solve_inverse(sd, cfg)
+        selection, sweep = built
+        assert info["chosen_N"] == 5
+        assert np.array_equal(selection.rho, selection_rho) and np.any(selection_rho < 0)
+        assert np.array_equal(sweep.rho, sweep_rho[sweep_rho >= 0])
+        assert info["collocation_count"] == sweep.K
+
+
+class TestParityDefect:
+    def test_fixture_data_are_even(self, ex1_roundtrip):
+        _, _, info, _ = ex1_roundtrip
+        assert info["parity_defect"] <= 1e-10
+
+    def test_one_perturbed_b_value_is_reported(self, ex1_direct):
+        # the perturbed point lies on the half the sweep does not read: only
+        # the parity defect shows it
+        _, sd = ex1_direct
+        payload = json.loads(zs.scattering_to_json(sd))
+        payload["b_re"][100] += 1e-3
+        data = zs.scattering_from_json(json.dumps(payload))
+        _, _, info = zs.solve_inverse(data, zs.InverseConfig(N=25, x_half_width=0.25,
+                                                             x_points=17))
+        assert info["parity_defect"] == pytest.approx(1e-3, rel=1e-9)
 
 
 def _spy_nodes(monkeypatch):
