@@ -65,8 +65,8 @@ def _add_inverse_options(sub):
                           "grid; targets that land on one grid point count once (397 "
                           "for 1000 on the default 4000-point grid). For real q the "
                           "sweep reads the points of one half line, each standing for "
-                          "itself and its mirror (199 of those 397); the N-selection "
-                          "keeps them all. collocation_count reports the number the "
+                          "itself and its mirror (199 of those 397), and so does the "
+                          "N-selection. collocation_count reports the number the "
                           "sweep reads")
     sub.add_argument("--inverse-n", default="auto",
                      help='inverse truncation order, or "auto"')
@@ -192,9 +192,8 @@ def _write_inverse_outputs(out_dir, rec, coeffs, info):
         "x_nodes": info["x_nodes"],
         "x_resolved": info["x_resolved"],
         "chop_level": info["chop_level"],
-        "eps_table": {str(k): v for k, v in info.get("eps_table", {}).items()},
-        "selection_fallbacks": info.get("selection_fallbacks", 0),
-        "selection_rank_truncated": info.get("selection_rank_truncated", 0),
+        "delta_table": {str(k): v for k, v in info.get("delta_table", {}).items()},
+        "selection_skipped": info.get("selection_skipped", []),
         "sweep_rank_truncated": info["sweep_rank_truncated"],
         "max_residual": info["max_residual"],
         "max_condition": info["max_condition"],

@@ -334,13 +334,27 @@ def solve_direct(
     )
 
 
+# Largest |rho_k + rho_{n-1-k}|, relative to max |rho|, at which the rho
+# grid counts as mirror-symmetric
+_MIRROR_TOL = 1e-12
+
+
+def _parity_defect(rho: np.ndarray, values: np.ndarray) -> float | None:
+    """max |f(-rho) - conj f(rho)| over the ascending grid, 0 for a and b
+    of real q; None when the grid is not mirror-symmetric, so that -rho is
+    not a grid point."""
+    if np.max(np.abs(rho + rho[::-1])) > _MIRROR_TOL * np.max(np.abs(rho)):
+        return None
+    return float(np.max(np.abs(values[::-1] - np.conj(values))))
+
+
 def validate_scattering(sd: ScatteringData) -> dict:
-    """Unitarity, parity and pairing defects of a scattering-data set."""
+    """Unitarity, parity (None off a mirror-symmetric grid) and pairing defects."""
     unitarity = float(
         np.max(np.abs(np.abs(sd.a_values) ** 2 + np.abs(sd.b_values) ** 2 - 1.0))
     )
-    b_parity = float(np.max(np.abs(sd.b_values[::-1] - np.conj(sd.b_values))))
-    a_parity = float(np.max(np.abs(sd.a_values[::-1] - np.conj(sd.a_values))))
+    b_parity = _parity_defect(sd.rho_grid, sd.b_values)
+    a_parity = _parity_defect(sd.rho_grid, sd.a_values)
     rhos = np.array([ev.rho for ev in sd.eigenvalues])
     if rhos.size:
         pairing = float(

@@ -19,9 +19,9 @@ from .numerics import (
     chebyshev_points,
     chebyshev_values,
     constrained_least_squares,
-    differentiate,
+    eliminate_constraints,
     least_squares_solve,
-    pivoted_qr_solve,
+    pivot_unknowns,
     qr_stage_one,
     qr_stage_two,
     standard_chop,
@@ -53,15 +53,15 @@ class InverseConfig:
     ``K`` bounds the distinct rho points the solve uses: ``K`` targets
     evenly spaced in theta = arg z(rho) go to the nearest grid node, and
     targets on one node count once (K = 1000 gives 397 on the default
-    4000-point rho grid).  Since q is real, the sweep reads the chosen
-    nodes of one half line only, each standing for itself and its mirror
-    -rho (199 of the 397); the N-selection keeps the full set.
-    ``info["collocation_count"]`` reports the number the sweep reads.
-    ``N`` may be an integer >= 1 (any ``numbers.Integral`` but ``bool``) or
-    "auto", in which case the Wronskian flatness criterion picks it from
-    ``candidates`` (integers >= 1, in any order, repeats counted once) on
-    the coarser selection grid with ``selection_K`` collocation targets
-    (see :func:`select_truncation_inverse`).  ``K`` and ``selection_K``
+    4000-point rho grid).  Since q is real, the sweep and the N-selection
+    read the chosen nodes of one half line only, each standing for itself
+    and its mirror -rho (199 of the 397).  ``info["collocation_count"]``
+    reports the number the sweep reads.  ``N`` may be an integer >= 1 (any
+    ``numbers.Integral`` but ``bool``) or "auto", in which case the
+    order-zero step delta(N) picks it from ``candidates`` (integers >= 1,
+    in any order, repeats counted once) on the coarser selection grid with
+    ``selection_K`` collocation targets (see
+    :func:`select_truncation_inverse`).  ``K`` and ``selection_K``
     are integers >= 1.  Invalid values raise ``ValueError``.
     """
 
@@ -148,11 +148,6 @@ class RecoveredCoefficients:
         return self.X[:, 3]
 
 
-def _wronskian_curve(re_b0, im_b0, re_a0, im_a0) -> np.ndarray:
-    """The x-independent bilinear form of the two order-zero coefficient pairs."""
-    return (1.0 + re_b0) * (1.0 + re_a0) + im_b0 * im_a0
-
-
 @dataclass(frozen=True)
 class RecoveredPotential:
     x_grid: UniformGrid
@@ -208,8 +203,9 @@ class _FactorTables:
     s1 + i s2 at -rho, right-hand side included, is the row
     conj(s1 - i s2) at rho: the complex form at the K nodes kept is the
     complex form at {+-rho_k} with every row counted once instead of
-    twice, and has its least-squares minimizer.  Only the sweep reads one
-    half line; the real split of the selection keeps every chosen node.
+    twice, and has its least-squares minimizer.  The sweep and the
+    N-selection read one half line; ``assemble_system`` keeps every chosen
+    node.
     """
 
     def __init__(self, sd: ScatteringData, N: int, K: int | None = None,
@@ -227,15 +223,15 @@ class _FactorTables:
             theta = 2.0 * np.arctan(2.0 * rho_full)
             targets = np.linspace(theta[0], theta[-1], K)
             idx = np.unique(np.searchsorted(theta, targets).clip(0, rho_full.size - 1))
+        # on every chosen node, before the tables, which grow with K N, exist
+        if idx.size + sd.M < N + 1:
+            raise UnderdeterminedSystem(f"system must be overdetermined: K + M >= N + 1, "
+                                        f"got K = {idx.size}, M = {sd.M} and N = {N}")
         if half_line:
             idx = idx[_half_line(rho_full[idx])]
         self.K = idx.size
         self.M = sd.M
         self.N = N
-        # checked before the tables, which grow with K N, are built
-        if self.K + self.M < N + 1:
-            raise UnderdeterminedSystem(f"system must be overdetermined: K + M >= N + 1, "
-                                        f"got K = {self.K}, M = {self.M} and N = {N}")
         self.rho = rho_full[idx]
         self.a = sd.a_values[idx]
         self.b = sd.b_values[idx]
@@ -308,10 +304,8 @@ class _FactorTables:
         the next call.
 
         A holds the real parts of rows s1 (K), s2 (K), s3 (M), s4 (M), then
-        their imaginary parts, on the unknowns in degree order.  It is
-        column-major: the selection factors it as laid out, ``qr_stage_one``
-        sums each column norm in memory order, and the chosen N rests on
-        those bits.  The zero blocks are never written.
+        their imaginary parts, on the unknowns in degree order.  The zero
+        blocks are never written.
         """
         K, M, rows = self.K, self.M, self._rows
         if self._A is None:
@@ -433,103 +427,81 @@ def _chop_level(bound: np.ndarray, cutoff: int) -> float:
     return float(bound[min(cutoff, bound.size - 1):].max() / top)
 
 
-# Stage-two condition from which the selection solves a candidate on its own
-# columns: nearer the rank edge, rounding in the shared, unpivoted stage one
-# can flip the rank decision, and the chosen N rests on these bits (truncating
-# in stage two everywhere picked N = 80 on ex2, against 60).
-_NESTED_COND_MAX = 1e9
+# Reduced condition from which the selection skips a candidate: past
+# 1/sqrt(eps) = 6.7e7 a solve keeps less than half its digits
+_SELECTION_COND_MAX = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: int):
-    """Order-zero coefficients of every candidate N at every selection node.
+    """(order_zero, passed): b_0 and a_0 of the first ``passed`` of the
+    sorted, distinct ``candidates`` at the selection nodes, shape
+    (passed, n_nodes, 2), where the walk stops at the first candidate whose
+    half-line system has fewer rows, 2K, than unknowns, 2(N + 1) - M, or
+    whose reduced condition reaches ``_SELECTION_COND_MAX`` at some node.
 
-    ``candidates`` must be sorted and distinct.  Returns ``order_zero``, of
-    shape (len(candidates), n_nodes, 4) and holding Re b0, Im b0, Re a0,
-    Im a0, and two boolean (len(candidates), n_nodes) arrays: the
-    node-candidate solves that went to the per-candidate path, and those
-    of them that dropped rank.
-
-    One table build serves all candidates: the real split's columns are in
-    degree order (Re b_n, Im b_n, Re a_n, Im a_n for n = 0..N), so the
-    system of candidate N is the leading 4(N + 1) columns of the largest
-    candidate's, bit for bit, since the power columns come from a
-    sequential recurrence and the products are elementwise.  So one
-    stage-one QR per node (``qr_stage_one``) serves every candidate, and
-    stage two runs on each candidate's leading triangle.  Where its
-    condition is not below ``_NESTED_COND_MAX`` = 1e9, that candidate and
-    the larger ones at the node are solved by ``pivoted_qr_solve`` on their
-    own columns in block order (Re b_n | Im b_n | Re a_n | Im a_n), the
-    bits of a real per-candidate solve.  Only the selection keeps this
-    guard; the sweep's one solve per node truncates in stage two.
-
-    The selection stays on the real split.  eps(N) on the plateau past the
-    optimal N is rounding noise, and the complex form lowers it (on ex1,
-    [-8, 8], N = 25..70: 9.4e-11..2.9e-10 real, 1.6e-11..8.8e-11 complex),
-    which moves the argmin from 25 to 45 or 55.
+    The half-line tables are built once, for the largest candidate.
+    At each node :func:`~zsscatter.numerics.eliminate_constraints` removes
+    the M eigenvalue rows s3 + i s4 on pivot columns among the smallest
+    candidate's, and the other columns keep degree order, so candidate N's
+    reduced system is the leading 2(N + 1) - M columns of the largest
+    one's: one complex ``qr_stage_one`` per node serves every candidate,
+    with one ``qr_stage_two`` each.  The configuration is refused before
+    any table is built if the full set of chosen nodes cannot hold the
+    largest candidate, K + M < N + 1; dependent constraint rows raise
+    RankDeficient naming x, as in the sweep.
     """
-    top = _FactorTables(sd, candidates[-1], K)
-    order_zero = np.empty((len(candidates), grid.n_points, 4))
-    fell_back = np.zeros((len(candidates), grid.n_points), dtype=bool)
-    truncated = np.zeros_like(fell_back)
+    tables = _FactorTables(sd, candidates[-1], K, half_line=True)
+    M = tables.M
+    widths = [2 * (N + 1) - M for N in candidates]
+    reduced = np.empty((2 * tables.K, widths[-1] + 1), dtype=complex, order="F")
+    order_zero = np.empty((len(candidates), grid.n_points, 2), dtype=complex)
+    passed = int(np.searchsorted(widths, 2 * tables.K, side="right"))
     for j, x in enumerate(grid.nodes):
-        A, B = top.assemble_real(float(x))
-        factor, col_scale = qr_stage_one(A, B)
-        nested = True
-        for i, N in enumerate(candidates):
-            if nested:
-                sol, cond, _ = qr_stage_two(factor, 4 * (N + 1))
-                nested = cond < _NESTED_COND_MAX
-            if nested:
-                order_zero[i, j] = sol[:4] / col_scale[:4]
-            else:
-                fell_back[i, j] = True
-                # block order, gathered by np.take into the row-major
-                # layout the solve would otherwise copy the columns into.
-                # The chosen N rests on these bits: a fallback on the leading
-                # degree-order columns picked N = 80 on ex1, not 25
-                block_order = np.arange(4)[:, None] + 4 * np.arange(N + 1)
-                own = np.take(A, block_order.ravel(), axis=1)
-                sol, _, _, rank = pivoted_qr_solve(own, B)
-                truncated[i, j] = rank < own.shape[1]
-                order_zero[i, j] = sol[:: N + 1]
-    return order_zero, fell_back, truncated
+        if passed == 0:
+            break
+        C, r, E, d = tables.assemble(float(x))
+        try:
+            P, R, Gg = eliminate_constraints(C, r, E[:M], d[:M], widths[0] + M, reduced)
+        except RankDeficient as exc:
+            raise RankDeficient(f"rank-deficient collocation system at x = {x:g}: {exc}") from exc
+        # the candidates past the guard are not solved again
+        factor, col_scale = qr_stage_one(reduced[:, : widths[passed - 1]], reduced[:, -1])
+        for i, n in enumerate(widths[:passed]):
+            y, cond, _ = qr_stage_two(factor, n)
+            if not cond < _SELECTION_COND_MAX:
+                passed = i
+                break
+            sol = np.empty(n + M, dtype=complex)
+            sol[R[:n]] = y / col_scale[:n]
+            sol[P] = pivot_unknowns(Gg, sol[R[:n]])
+            order_zero[i, j] = sol[:2]
+    return order_zero[:passed], passed
 
 
 def select_truncation_inverse(
     sd: ScatteringData, cfg: InverseConfig
-) -> tuple[int, dict[int, float], int, int]:
-    """Pick N by minimizing the Wronskian flatness defect eps(N).
+) -> tuple[int, dict[int, float], list[int]]:
+    """Pick N by the order-zero step delta(N).
 
-    eps(N) is the max over the selection grid of |d/dx| of the
-    x-independent bilinear form of the two order-zero coefficient pairs of
-    the truncation-N solve.  The candidates are walked in increasing order,
-    repeats counted once, and ties break toward the smaller N.  All
-    candidates share one stage-one QR per node (see
-    ``_selection_order_zero``); only the order-zero entries are kept.
+    delta(N) = max over the selection grid of |b_0(N) - b_0(N')| and
+    |a_0(N) - a_0(N')|, N' the next candidate, from the constrained solves.
+    The candidates, repeats counted once, are walked upward to the first
+    that fails the guard of ``_selection_order_zero`` (an underdetermined
+    half-line system, or a reduced condition of 1/sqrt(eps) = 6.7e7 or
+    more); it and the larger ones are skipped.  delta(N) counts where N
+    and N' both pass, and N is its argmin, ties going to the smaller N, or
+    the smallest candidate when fewer than two pass.
 
-    Returns (N, eps_table, fallbacks, truncated), ``eps_table`` keyed by
-    candidate in increasing order, ``fallbacks`` the number of
-    node-candidate solves whose nested stage-two condition was 1e9 or more
-    and that were solved on their own by
-    :func:`~zsscatter.numerics.pivoted_qr_solve`, and ``truncated`` the
-    number of those that dropped rank.
+    Returns (N, delta_table, skipped), ``delta_table`` keyed by candidate
+    in increasing order.
     """
     grid = cfg.selection_grid()
     candidates = sorted({int(n) for n in cfg.candidates})
-    order_zero, fell_back, truncated = _selection_order_zero(
-        sd, candidates, grid, cfg.selection_K)
-    eps_table: dict[int, float] = {}
-    best_n = None
-    best_eps = np.inf
-    for N, entries in zip(candidates, order_zero):
-        wron = _wronskian_curve(*entries.T)
-        eps = float(np.max(np.abs(differentiate(grid, wron))))
-        eps_table[N] = eps
-        if eps < best_eps:
-            best_eps = eps
-            best_n = N
-    return (int(best_n), eps_table, int(np.count_nonzero(fell_back)),
-            int(np.count_nonzero(truncated)))
+    order_zero, passed = _selection_order_zero(sd, candidates, grid, cfg.selection_K)
+    steps = np.abs(np.diff(order_zero, axis=0)).max(axis=(1, 2))
+    delta_table = {N: float(step) for N, step in zip(candidates, steps)}
+    N = min(delta_table, key=delta_table.get) if delta_table else candidates[0]
+    return N, delta_table, candidates[passed:]
 
 
 def _node_quotients(X: np.ndarray, half_width: float):
@@ -583,19 +555,13 @@ def recover_potential(coeffs: RecoveredCoefficients) -> RecoveredPotential:
     )
 
 
-# Largest |rho_k + rho_{n-1-k}|, relative to max |rho|, at which the rho
-# grid counts as mirror-symmetric
-_MIRROR_TOL = 1e-12
-
-
 def _parity_defect(sd: ScatteringData) -> float | None:
     """The larger of the a and b parity defects of ``validate_scattering``,
     max |f(-rho) - conj f(rho)|; None when the rho grid is not
     mirror-symmetric, so that -rho is not a grid point."""
-    rho = sd.rho_grid
-    if np.max(np.abs(rho + rho[::-1])) > _MIRROR_TOL * np.max(np.abs(rho)):
-        return None
     report = validate_scattering(sd)
+    if report["a_parity_defect"] is None:
+        return None
     return max(report["a_parity_defect"], report["b_parity_defect"])
 
 
@@ -607,10 +573,7 @@ def solve_inverse(sd: ScatteringData, cfg: InverseConfig):
     it (None for a rho grid that is not mirror-symmetric)."""
     info: dict = {}
     if cfg.N == "auto":
-        N, eps_table, fallbacks, truncated = select_truncation_inverse(sd, cfg)
-        info["eps_table"] = eps_table
-        info["selection_fallbacks"] = fallbacks
-        info["selection_rank_truncated"] = truncated
+        N, info["delta_table"], info["selection_skipped"] = select_truncation_inverse(sd, cfg)
     else:
         N = int(cfg.N)
     info["chosen_N"] = N

@@ -27,7 +27,8 @@ __all__ = [
     "polynomial_roots",
     "least_squares_solve",
     "constrained_least_squares",
-    "pivoted_qr_solve",
+    "eliminate_constraints",
+    "pivot_unknowns",
     "qr_stage_one",
     "qr_stage_two",
     "differentiate",
@@ -365,10 +366,21 @@ def _fixed_layout(A, b) -> tuple[np.ndarray, np.ndarray]:
     return layout(A, dtype=dtype), np.asarray(b, dtype=dtype)
 
 
-def _prepared_system(A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, col_scale): A and b in their solve dtype, as laid out, and the
-    column norms of A (1 for a zero column).  ValueError unless A is m x n
-    with m >= n >= 1 and b has length m, both finite.
+def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
+
+    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
+    1 for a zero column), and ``factor`` is the blocked Householder QR of the
+    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
+    triangle, Q^H b in its last column and the residual norm, up to sign,
+    in entry (n, n) when m > n.  The factor is real (dgeqrt) for real A and
+    b and complex (zgeqrt) if either is complex.  Householder reflector k
+    touches rows k..m-1 only, and a column's scale does not depend on the
+    others, so for every n' <= n the leading n' x n' triangle and the first
+    n' entries of the last column are the stage-one factors of the system
+    of A's leading n' columns.  A is factored as laid out, its column norms
+    summed in memory order.  ValueError unless A is m x n with m >= n >= 1
+    and b has length m, both finite.
     """
     dtype = _solve_dtype(A, b)
     A = np.asarray(A, dtype=dtype)
@@ -387,27 +399,6 @@ def _prepared_system(A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
         col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
     col_scale[col_scale == 0.0] = 1.0
-    return A, b, col_scale
-
-
-def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
-
-    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
-    1 for a zero column), and ``factor`` is the blocked Householder QR of the
-    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
-    triangle, Q^H b in its last column and the residual norm, up to sign,
-    in entry (n, n) when m > n.  The factor is real (dgeqrt) for real A and
-    b and complex (zgeqrt) if either is complex.  Householder reflector k
-    touches rows k..m-1 only, and a column's scale does not depend on the
-    others, so for every n' <= n the leading n' x n' triangle and the first
-    n' entries of the last column are the stage-one factors of the system
-    of A's leading n' columns.  A is factored as laid out, since the
-    column norms are summed in memory order: the nested inverse
-    N-selection's bits rest on its real split being column-major.  NaN or
-    inf in A or b raises ValueError.
-    """
-    A, b, col_scale = _prepared_system(A, b)
     m, n = A.shape
     aug = np.empty((m, n + 1), A.dtype, order="F")
     np.divide(A, col_scale, out=aug[:, :n])
@@ -480,33 +471,6 @@ def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
     return x, float(dmax / dmin) if dmin > 0.0 else np.inf, dropped
 
 
-def pivoted_qr_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """Minimize ||Ax - b||_2 by one column-pivoted QR of the equilibrated A.
-
-    The inverse N-selection's solve past its guard: pivots below
-    ``_RANK_TOL`` times the largest are dropped and their entries of x set
-    to zero (a basic solution).  Q is explicit (``scipy.linalg.qr``); the
-    selection's choice on its rounding-noise plateau rests on these bits.
-    Returns (x, residual_norm, condition_estimate, rank), the estimate over
-    the kept pivots.  Any layout of A gives the same bits.  Raises
-    RankDeficient if A = 0.
-    """
-    A, b, col_scale = _prepared_system(*_fixed_layout(A, b))
-    Q, R, perm = scipy.linalg.qr(A / col_scale, mode="economic", pivoting=True)
-    diag = np.abs(np.diagonal(R))
-    dmax = diag.max()
-    rank = int(np.count_nonzero(diag >= _RANK_TOL * dmax)) if dmax > 0 else 0
-    if rank == 0:
-        raise RankDeficient("every pivot of the triangular factor is zero")
-    # pivoting pushes deficient columns to the back; keep the leading block
-    y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T.conj() @ b)
-    x = np.zeros(A.shape[1], A.dtype)
-    x[perm[:rank]] = y
-    x /= col_scale
-    residual = float(np.linalg.norm(A @ x - b))
-    return x, residual, float(dmax / diag[:rank].min()), rank
-
-
 def constrained_least_squares(A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np.ndarray,
                               solve=least_squares_solve) -> tuple[np.ndarray, float, float]:
     """Minimize ||Ax - b||_2 subject to E x = d, by the null-space method.
@@ -556,6 +520,64 @@ def constrained_least_squares(A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np
     if info != 0:
         raise ValueError(f"ormqr/unmqr failed with info = {info}")
     return x[:, 0], residual, cond
+
+
+def eliminate_constraints(
+    A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np.ndarray, n_lead: int, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direct elimination of E x = d from min ||Ax - b||_2 (Golub & Van Loan,
+    *Matrix Computations*, section 6.2).
+
+    A pivoted QR (geqp3) of the leading ``n_lead`` columns of E, rows scaled
+    to unit norm, picks p pivot columns P; an LU solve with E_P gives
+    x_P = g - G x_R, G = E_P^-1 E_R, g = E_P^-1 d, on the other columns R
+    (ascending).  One BLAS gemm writes (A_R - A_P G) x_R = b - A_P g into
+    ``out`` (column-major, m x (n - p + 1), the dtype of A and E), its
+    right-hand side last, so the problem on A's leading n' >= ``n_lead``
+    columns reduces to the leading n' - p columns of ``out``.  Returns
+    (P, R, Gg), Gg = [G | g] (see :func:`pivot_unknowns`).  Raises
+    RankDeficient for more rows than ``n_lead`` or rows dependent on those
+    columns (a pivot below ``_RANK_TOL`` times the largest).
+    """
+    p, n = E.shape
+    if p > n_lead:
+        raise RankDeficient(f"{p} constraints on {n_lead} unknowns")
+    if not out.flags.f_contiguous:
+        raise ValueError("out must be column-major")
+    P = np.empty(0, dtype=int)
+    if p:
+        scale = np.linalg.norm(E, axis=1)
+        scale[scale == 0.0] = 1.0
+        E = E / scale[:, None]
+        # a copy: geqp3 overwrites it, and one row is already column-major
+        h, _, perm = _pivoted_qr_raw(np.array(E[:, :n_lead], order="F"))
+        pivots = np.abs(np.diagonal(h))
+        if not pivots.min() > _RANK_TOL * pivots.max():
+            raise RankDeficient("the constraint rows are linearly dependent")
+        P = perm[:p]
+    R = np.setdiff1d(np.arange(n), P)
+    # the runs of R between the pivots, column slices: no temporary copy
+    lo = 0
+    for k, hi in enumerate([*np.sort(P), n]):
+        out[:, lo - k : hi - k] = A[:, lo:hi]
+        lo = hi + 1
+    out[:, -1] = b
+    if not p:
+        return P, R, np.empty((0, n + 1), dtype=out.dtype)
+    Gg = scipy.linalg.lu_solve(scipy.linalg.lu_factor(E[:, P]),
+                               np.column_stack([E[:, R], d / scale]))
+    # in place, since out is column-major in the dtype of the product
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (out,))
+    gemm(-1.0, A[:, P], Gg, 1.0, out, overwrite_c=True)
+    return P, R, Gg
+
+
+def pivot_unknowns(Gg: np.ndarray, x_R: np.ndarray) -> np.ndarray:
+    """x_P = g - G x_R (:func:`eliminate_constraints`) for x_R on R[:k], by BLAS gemv."""
+    if Gg.shape[0] == 0:
+        return Gg[:, -1].copy()
+    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (Gg,))
+    return gemv(-1.0, Gg[:, : x_R.size], x_R, 1.0, Gg[:, -1])
 
 
 def differentiate(grid: UniformGrid, f: np.ndarray) -> np.ndarray:

@@ -230,16 +230,15 @@ def test_inverse_summary_reports_collocation_count(tmp_path):
     summary = json.loads((inv_dir / "inverse_summary.json").read_text())
     # the sweep reads the chosen points of one half line of the 200-point grid
     assert 0 < summary["collocation_count"] <= 100
-    assert summary["selection_fallbacks"] == 0
-    assert "sweep_fallbacks" not in summary
-    assert summary["selection_rank_truncated"] == 0
+    # a fixed N runs no selection
+    assert summary["delta_table"] == {} and summary["selection_skipped"] == []
     assert summary["sweep_rank_truncated"] == 0
     assert {"x_nodes", "x_resolved", "chop_level", "constraint_residual"} <= summary.keys()
     # q = 0: a = 1 and b = 0 are exactly even
     assert summary["parity_defect"] == 0.0
 
 
-def test_inverse_summary_parity_defect_is_null_on_a_lopsided_grid(tmp_path):
+def test_inverse_summary_parity_defect_is_null_on_a_lopsided_grid(tmp_path, capsys):
     out_dir = tmp_path / "direct"
     assert run(["direct", "--potential", "preset:zero", "--grid-points", "401",
                 "--rho-count", "200", "--output-dir", str(out_dir)]) == 0
@@ -253,6 +252,11 @@ def test_inverse_summary_parity_defect_is_null_on_a_lopsided_grid(tmp_path):
                 "--output-dir", str(tmp_path / "inverse")]) == 0
     summary = json.loads((tmp_path / "inverse" / "inverse_summary.json").read_text())
     assert summary["parity_defect"] is None
+    # validate reads the same: -rho is not a grid point
+    capsys.readouterr()
+    assert run(["validate", "--scattering", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["a_parity_defect"] is None and report["b_parity_defect"] is None
 
 
 def test_truncation_cap_warning(tmp_path, capsys, monkeypatch):

@@ -94,6 +94,21 @@ def test_unitarity_and_parity(fixture, request):
     assert report["norming_symmetry_defect"] <= 1e-6
 
 
+def test_parity_defects_pair_rho_with_minus_rho(ex1_direct):
+    # a grid cut to rho >= -5 holds no -rho for most of its points: the
+    # parity defects read None there, not a defect of the reversed index
+    _, sd = ex1_direct
+    report = zs.validate_scattering(sd)
+    assert report["a_parity_defect"] <= 1e-14 and report["b_parity_defect"] <= 1e-14
+    payload = json.loads(zs.scattering_to_json(sd))
+    keep = np.array(payload["rho"]) >= -5.0
+    for key in ("rho", "a_re", "a_im", "b_re", "b_im"):
+        payload[key] = np.array(payload[key])[keep].tolist()
+    report = zs.validate_scattering(zs.scattering_from_json(json.dumps(payload)))
+    assert report["a_parity_defect"] is None and report["b_parity_defect"] is None
+    assert report["unitarity_defect"] <= 1e-6
+
+
 def test_root_set_conjugation_closure(ex3_direct):
     _, sd = ex3_direct
     zvals = np.array([ev.z for ev in sd.eigenvalues])

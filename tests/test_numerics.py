@@ -22,7 +22,6 @@ from zsscatter.numerics import (
     integrate_linear_ode2,
     least_squares_solve,
     midpoint_values,
-    pivoted_qr_solve,
     polynomial_roots,
     qr_stage_one,
     qr_stage_two,
@@ -576,10 +575,8 @@ class TestLeastSquares:
         A = np.ones((4, 2))  # identical columns
         x, _, cond = least_squares_solve(A, np.ones(4))
         assert np.count_nonzero(x == 0.0) == 1 and cond > 1e12
-        assert pivoted_qr_solve(A, np.ones(4))[3] == 1
-        for solve in (least_squares_solve, pivoted_qr_solve):
-            with pytest.raises(RankDeficient):
-                solve(np.zeros((4, 2)), np.ones(4))
+        with pytest.raises(RankDeficient):
+            least_squares_solve(np.zeros((4, 2)), np.ones(4))
         with pytest.raises(RankDeficient):
             qr_stage_two(qr_stage_one(np.zeros((4, 2)), np.ones(4))[0], 2)
 
@@ -602,21 +599,16 @@ class TestLeastSquares:
         A[:, 1] = [0.0, 0.0, 1.0, 1.0]
         A[:, 2] = A[:, 0]  # duplicate column
         b = np.array([2.0, 2.0, 4.0, 4.0])
-        x, res, _, rank = pivoted_qr_solve(A, b)
-        assert rank == 2
-        assert res < 1e-12
-        assert np.allclose(A @ x, b)
         x, res, cond = least_squares_solve(A, b)
         assert np.count_nonzero(x == 0.0) == 1 and cond > 1e12
         assert res < 1e-12
         assert np.allclose(A @ x, b)
 
     def test_underdetermined_rejected(self):
-        for solve in (least_squares_solve, pivoted_qr_solve):
-            with pytest.raises(ValueError):
-                solve(np.ones((2, 3)), np.ones(2))
-            with pytest.raises(ValueError, match="does not match"):
-                solve(np.ones((4, 3)), np.ones(3))
+        with pytest.raises(ValueError):
+            least_squares_solve(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="does not match"):
+            least_squares_solve(np.ones((4, 3)), np.ones(3))
 
     def test_scaled_tall_system_matches_reference(self):
         rng = np.random.default_rng(400)
@@ -629,9 +621,8 @@ class TestLeastSquares:
         assert cond == pytest.approx(cond_ref, rel=1e-2)
 
     def test_near_rank_edge_is_the_reference_solve(self):
-        # a pivot ratio between 1e9 and 1e12 is past the selection's guard
-        # but above rank_tol: the two-stage solve keeps every pivot, and the
-        # single-stage solve the selection falls back to answers exactly
+        # a pivot ratio between 1e9 and 1e12 is above rank_tol: the
+        # two-stage solve keeps every pivot
         rng = np.random.default_rng(9)
         U = np.linalg.qr(rng.standard_normal((300, 40)))[0]
         V = np.linalg.qr(rng.standard_normal((40, 40)))[0]
@@ -642,11 +633,6 @@ class TestLeastSquares:
         x, res, cond = least_squares_solve(A, b)
         assert 1e9 < cond < 1e12 and np.all(x != 0.0)
         assert res == pytest.approx(res_ref, rel=1e-6)
-        x, res, cond, rank = pivoted_qr_solve(A, b)
-        assert np.array_equal(x, x_ref)
-        assert res == res_ref
-        assert cond == cond_ref
-        assert rank == 40
 
     def test_leading_blocks_match_each_leading_system(self):
         # one stage-one factor of [A | b] serves the systems of A's leading
@@ -672,9 +658,8 @@ class TestLeastSquares:
             np.testing.assert_allclose(x / col_scale[:n], least_squares_solve(A[:, :n], b)[0],
                                        rtol=1e-12, atol=0.0)
         for n in range(17, 25):
-            # the pivot ratio lies between the selection's guard and the
-            # rank tolerance, so every pivot is kept
-            assert 1e9 < pivoted_qr_solve(A[:, :n], b)[2] < 1e12
+            # the pivot ratio lies between 1e9 and the rank tolerance, so
+            # every pivot is kept
             x, cond, _ = qr_stage_two(factor, n)
             assert 1e9 < cond < 1e12 and np.all(x != 0.0)
             assert 1e9 < least_squares_solve(A[:, :n], b)[2] < 1e12
@@ -682,8 +667,8 @@ class TestLeastSquares:
     def test_factored_stage_two_matches_explicit_q(self, monkeypatch):
         # geqp3 sees the same triangle as in the explicit-Q reference, so R,
         # the pivots and the condition are the same bits, on both sides of
-        # the selection's 1e9 guard; only applying the reflectors to Q^T b
-        # moves x, at rounding level
+        # 1e9; only applying the reflectors to Q^T b moves x, at rounding
+        # level
         geqp3 = numerics._pivoted_qr_raw
         raw = []
 
@@ -713,23 +698,23 @@ class TestLeastSquares:
         assert outcomes == {True, False}
 
     def test_layout_of_a_does_not_change_the_bits(self):
-        # past the two-stage guard the rank decision turns last-bit changes
-        # of the column norms into different answers, so a column-major A or
-        # a gather of its columns must be solved exactly like the row-major A
-        A, b = _spread_system(40, 10.5, seed=9, extra_rows=260)
+        # near the rank edge last-bit changes of the column norms can move
+        # the answer, so a real A is solved as its row-major copy and a
+        # complex one as its column-major copy: any layout of A, or a gather
+        # of its columns, gives the same bits
         rng = np.random.default_rng(10)
-        wide = rng.standard_normal((300, 70))
-        cols = rng.permutation(70)[:40]
-        wide[:, cols] = A
-        x, res, cond, rank = pivoted_qr_solve(A, b)
-        assert 1e9 < cond < 1e12
-        for other in (np.asfortranarray(A), wide[:, cols]):
-            assert not other.flags.c_contiguous
-            x_o, res_o, cond_o, rank_o = pivoted_qr_solve(other, b)
-            assert np.array_equal(x_o, x)
-            assert res_o == res
-            assert cond_o == cond
-            assert rank_o == rank
+        for dtype in (float, complex):
+            A, b = _spread_system(40, 10.5, seed=9, extra_rows=260, dtype=dtype)
+            wide = rng.standard_normal((300, 70)).astype(dtype)
+            cols = rng.permutation(70)[:40]
+            wide[:, cols] = A
+            x, res, cond = least_squares_solve(A, b)
+            assert 1e9 < cond < 1e12
+            for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
+                x_o, res_o, cond_o = least_squares_solve(other, b)
+                assert np.array_equal(x_o, x)
+                assert res_o == res
+                assert cond_o == cond
 
     def test_geqp3_call_matches_scipy_qr(self):
         # stage two calls LAPACK geqp3 itself, with SciPy's workspace query,
@@ -748,9 +733,8 @@ class TestLeastSquares:
                 assert np.array_equal(perm, perm_ref), (n, dtype)
 
     def test_stage_one_takes_a_as_laid_out(self):
-        # the nested N-selection factors a column-major gather, and its bits
-        # rest on the column norms summed in that order, so stage one does
-        # not copy A into the row-major layout the solves take
+        # stage one sums the column norms in A's memory order: it does not
+        # copy A into the row-major layout the solves take
         A, b = _spread_system(60, 3.0, seed=39, extra_rows=500)
         F = np.asfortranarray(A)
         assert not np.array_equal(np.sqrt(np.add.reduce(A * A, axis=0)),
@@ -787,12 +771,6 @@ class TestLeastSquares:
         x_ref, res_ref, _ = _reference_lsq(A, b, on_deficient="truncate")
         np.testing.assert_allclose(A @ x, A @ x_ref, rtol=1e-10, atol=0.0)
         assert res == pytest.approx(res_ref, rel=1e-10)
-        x, res, cond, rank = pivoted_qr_solve(A, b)
-        x_ref, res_ref, cond_ref = _reference_lsq(A, b, on_deficient="truncate")
-        assert np.count_nonzero(x_ref == 0.0) == 1
-        assert rank == 7
-        assert np.array_equal(x, x_ref)
-        assert res == res_ref and cond == cond_ref
 
     @pytest.mark.parametrize("where", ["A", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -804,9 +782,8 @@ class TestLeastSquares:
             A[3, 1] = bad
         else:
             b[7] = bad
-        for solve in (least_squares_solve, pivoted_qr_solve):
-            with pytest.raises(ValueError):
-                solve(A, b)
+        with pytest.raises(ValueError):
+            least_squares_solve(A, b)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_residual_from_the_factor(self, dtype):
@@ -820,33 +797,6 @@ class TestLeastSquares:
         x, res, _ = least_squares_solve(A, b)
         assert res == 0.0
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_pivoted_solve_is_the_reference_bit_for_bit(self, dtype):
-        # near the rank edge, past the rank tolerance and with a duplicate
-        # column, for every layout of A and a gather of its columns
-        rng = np.random.default_rng(35)
-        duplicate, _ = _spread_system(30, 2.0, seed=36, dtype=dtype)
-        duplicate[:, 17] = (1.5 - 0.5j if dtype is complex else 1.5) * duplicate[:, 4]
-        systems = [_spread_system(40, 10.5, seed=37, extra_rows=260, dtype=dtype),
-                   _spread_system(40, 14.0, seed=38, dtype=dtype),
-                   (duplicate, rng.standard_normal(70).astype(dtype))]
-        ranks = []
-        for A, b in systems:
-            # past the selection's guard, which falls back to this solve
-            assert least_squares_solve(A, b)[2] > 1e9
-            # the solves take a complex A column-major, a real one row-major
-            fixed = np.asfortranarray(A) if dtype is complex else A
-            x_ref, res_ref, cond_ref = _reference_lsq(fixed, b, on_deficient="truncate")
-            wide = rng.standard_normal((A.shape[0], 70)).astype(dtype)
-            cols = rng.permutation(70)[: A.shape[1]]
-            wide[:, cols] = A
-            for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
-                x, res, cond, rank = pivoted_qr_solve(other, b)
-                assert np.array_equal(x, x_ref)
-                assert res == res_ref and cond == cond_ref
-            ranks.append(rank)
-        assert ranks == [40, 37, 29]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_truncating_stage_two(self, dtype):
@@ -937,42 +887,13 @@ class TestComplexLeastSquares:
         assert np.max(np.abs(x.imag)) <= 1e-14 * np.max(np.abs(x_ref))
         assert res == pytest.approx(res_ref, rel=1e-10)
 
-    def test_guard_and_fallback(self):
-        # past the selection's 1e9 guard the two-stage solve keeps every
-        # pivot, and the pivoted solve the selection falls back to is the
-        # single-stage reference
-        A, b = _spread_system(40, 10.5, seed=26, extra_rows=260, dtype=complex)
-        x, _, cond = least_squares_solve(A, b)
-        assert 1e9 < cond < 1e12 and np.all(x != 0.0)
-        x, res, cond, rank = pivoted_qr_solve(A, b)
-        # a complex A is solved in column-major order
-        x_ref, res_ref, cond_ref = _reference_lsq(np.asfortranarray(A), b)
-        assert 1e9 < cond_ref < 1e12 and rank == 40
-        assert np.array_equal(x, x_ref)
-        assert res == res_ref and cond == cond_ref
-        # so any layout of it, or a gather of its columns, gives these bits
-        rng = np.random.default_rng(29)
-        wide = rng.standard_normal((300, 70)) + 0j
-        cols = rng.permutation(70)[:40]
-        wide[:, cols] = A
-        for other in (np.ascontiguousarray(A), np.asfortranarray(A), wide[:, cols]):
-            x_o, res_o, cond_o, _ = pivoted_qr_solve(other, b)
-            assert np.array_equal(x_o, x) and res_o == res and cond_o == cond
-        # the two-stage solve gives the same bits for every layout too
-        A, b = _spread_system(40, 6.0, seed=27, dtype=complex)
-        x, res, cond = least_squares_solve(A, b)
-        x2, res2, cond2 = least_squares_solve(np.ascontiguousarray(A), b)
-        assert np.array_equal(x, x2) and res == res2 and cond == cond2
-
     def test_rank_deficient_truncates(self):
         rng = np.random.default_rng(28)
         A = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
         A[:, 4] = (2.0 - 1.0j) * A[:, 1]
         b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        x, _, _, rank = pivoted_qr_solve(A, b)
         x_ref, res_ref, _ = _reference_lsq(np.asfortranarray(A), b, on_deficient="truncate")
-        assert np.count_nonzero(x == 0.0) == 1 and rank == 5
-        assert np.array_equal(x, x_ref)
+        assert np.count_nonzero(x_ref == 0.0) == 1
         x, res, cond = least_squares_solve(A, b)
         assert cond > 1e12 and np.count_nonzero(x == 0.0) == 1
         np.testing.assert_allclose(A @ x, A @ x_ref, rtol=1e-10, atol=0.0)
@@ -985,8 +906,6 @@ class TestComplexLeastSquares:
             qr_stage_one(A, np.ones(5))
         with pytest.raises(ValueError, match="finite"):
             least_squares_solve(np.ones((5, 2)), np.full(5, complex(np.inf, 0.0)))
-        with pytest.raises(ValueError, match="finite"):
-            pivoted_qr_solve(A, np.ones(5))
 
 
 class TestDifferentiate:
@@ -1087,6 +1006,95 @@ class TestConstrainedLeastSquares:
         for bad in (np.ascontiguousarray(A), np.asfortranarray(A.real)):
             with pytest.raises(ValueError, match="column-major"):
                 numerics.constrained_least_squares(bad, b, E, d)
+
+
+def _eliminated_solve(A, b, E, d, n_lead):
+    """min ||Ax - b|| subject to E x = d by direct elimination: the reduced
+    system's two-stage solve, then the pivot unknowns.  Returns (x, cond)."""
+    m, n = A.shape
+    p = E.shape[0]
+    out = np.empty((m, n - p + 1), np.result_type(A, E, np.float64), order="F")
+    P, R, Gg = numerics.eliminate_constraints(A, b, E, d, n_lead, out)
+    y, _, cond = least_squares_solve(out[:, :-1], out[:, -1])
+    x = np.empty(n, out.dtype)
+    x[R] = y
+    x[P] = numerics.pivot_unknowns(Gg, y)
+    return x, cond
+
+
+class TestDirectElimination:
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_gglse(self, seed, dtype):
+        # the constrained minimizer of LAPACK's generalized-RQ solve, within
+        # 10 n u kappa of the reduced system (the factor 10 leaves room for
+        # the LU solve with E_P, on pivot columns chosen by a pivoted QR of
+        # the unit-norm rows); the constraints hold to rounding relative to
+        # |E| |x| + |d|
+        m, n, p = 60, 12, 1 + seed % 4
+        A, b, E, d = _lse_system(m, n, p, seed, dtype)
+        x_ref = _gglse(A, b, E, d)
+        x, cond = _eliminated_solve(A, b, E, d, n)
+        assert x.dtype == np.result_type(A, np.float64)
+        bound = 10.0 * n * np.finfo(float).eps * cond
+        assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
+        defect = np.abs(E @ x - d) / (np.abs(E) @ np.abs(x) + np.abs(d))
+        assert defect.max() <= 1e-12
+
+    def test_leading_columns_reduce_to_leading_columns(self):
+        # pivots among the first n_lead columns: the problem on A's leading
+        # n' columns reduces to the leading n' - p columns of the reduced system
+        m, n, p, n_lead = 50, 16, 3, 6
+        A, b, E, d = _lse_system(m, n, p, 7)
+        out = np.empty((m, n - p + 1), complex, order="F")
+        P, R, Gg = numerics.eliminate_constraints(A, b, E, d, n_lead, out)
+        assert np.all(P < n_lead) and np.array_equal(R, np.setdiff1d(np.arange(n), P))
+        for k in range(n_lead, n + 1):
+            part = np.empty((m, k - p + 1), complex, order="F")
+            P_k, R_k, Gg_k = numerics.eliminate_constraints(A[:, :k], b, E[:, :k], d, n_lead, part)
+            assert np.array_equal(P_k, P) and np.array_equal(R_k, R[: k - p])
+            scale = np.max(np.abs(out))
+            assert np.max(np.abs(part[:, :-1] - out[:, : k - p])) <= 1e-14 * scale
+            assert np.max(np.abs(part[:, -1] - out[:, -1])) <= 1e-14 * scale
+            np.testing.assert_allclose(Gg_k[:, :-1], Gg[:, : k - p], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(Gg_k[:, -1], Gg[:, -1], rtol=1e-13, atol=0.0)
+
+    def test_inputs_are_not_overwritten(self):
+        # one constraint row is column-major already: its pivoted QR must
+        # work on a copy
+        A, b, E, d = _lse_system(30, 8, 1, 8)
+        copies = [v.copy() for v in (A, b, E, d)]
+        _eliminated_solve(A, b, E, d, 8)
+        for kept, before in zip((A, b, E, d), copies):
+            assert np.array_equal(kept, before)
+
+    def test_no_constraints_is_the_least_squares_solve(self):
+        A, b, E, d = _lse_system(30, 8, 0, 2)
+        out = np.empty((30, 9), complex, order="F")
+        P, R, Gg = numerics.eliminate_constraints(A, b, E, d, 4, out)
+        assert P.size == 0 and np.array_equal(R, np.arange(8)) and Gg.shape == (0, 9)
+        assert np.array_equal(out[:, :-1], A) and np.array_equal(out[:, -1], b)
+        assert numerics.pivot_unknowns(Gg, np.ones(8, complex)).size == 0
+
+    def test_dependent_constraints_raise(self):
+        A, b, E, d = _lse_system(30, 8, 2, 4)
+        out = np.empty((30, 7), complex, order="F")
+        twice = np.vstack([E, 1e6 * E[:1]])
+        with pytest.raises(RankDeficient, match="dependent"):
+            numerics.eliminate_constraints(A, b, twice, np.append(d, 1e6 * d[0]), 8, out[:, :6])
+        with pytest.raises(RankDeficient, match="3 constraints on 2 unknowns"):
+            numerics.eliminate_constraints(A, b, twice, np.append(d, d[0]), 2, out[:, :6])
+        # independent rows, dependent on the leading columns
+        E[:, :2] = 0.0
+        with pytest.raises(RankDeficient, match="dependent"):
+            numerics.eliminate_constraints(A, b, E, d, 2, out)
+
+    def test_out_must_be_column_major(self):
+        # the gemm writes the reduced system in place, which a row-major
+        # out would silently lose
+        A, b, E, d = _lse_system(30, 8, 2, 5)
+        with pytest.raises(ValueError, match="column-major"):
+            numerics.eliminate_constraints(A, b, E, d, 8, np.empty((30, 7), complex))
 
 
 class TestChebyshev:
