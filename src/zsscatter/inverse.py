@@ -7,6 +7,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DenominatorNearZero, MissingSpectrumData, RankDeficient, UnderdeterminedSystem
 from .jost import JostFactors, z_of_rho
@@ -365,8 +366,14 @@ def _solve_node(tables: _FactorTables, x: float):
                                                    solve=least_squares_solve)
     except RankDeficient as exc:
         raise RankDeficient(f"rank-deficient collocation system at x = {x:g}: {exc}") from exc
-    defect = np.abs(E @ sol - d) / (np.abs(E) @ np.abs(sol) + np.abs(d))
-    return sol, res, rhs_norm, cond, float(defect.max(initial=0.0))
+    if not tables.M:
+        return sol, res, rhs_norm, cond, 0.0
+    # |E sol - d| / (|E| |sol| + |d|) by SciPy's BLAS, as the solve: NumPy's
+    # matmul would run in another OpenBLAS with its own thread pool; E is
+    # row-major, so gemv takes its transpose
+    defect = np.abs(scipy.linalg.blas.zgemv(1.0, E.T, sol, -1.0, d, trans=1))
+    defect /= scipy.linalg.blas.dgemv(1.0, np.abs(E).T, np.abs(sol), 1.0, np.abs(d), trans=1)
+    return sol, res, rhs_norm, cond, float(defect.max())
 
 
 def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:

@@ -9,6 +9,7 @@ functions; the only state kept between calls is the scratch buffers of a
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,60 @@ def midpoint_values(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
 _OVERFLOW_GUARD = 1e200
 
 
+def _rk4_increment(u, v, q0, qm, q1, drift: float, h: float):
+    """(u_1 - u, v_1 - v) of one 4-stage step of w'' + drift*w' = Q*w from
+    the state (u, v) = (w, w'), with Q = q0, qm, q1 at the step's start, middle
+    and end; elementwise over arrays of steps."""
+    half_h = 0.5 * h
+    # k = (w', Q w - drift w')
+    k1u = v
+    k1v = q0 * u - drift * v
+    u2 = u + half_h * k1u
+    v2 = v + half_h * k1v
+    k2u = v2
+    k2v = qm * u2 - drift * v2
+    u3 = u + half_h * k2u
+    v3 = v + half_h * k2v
+    k3u = v3
+    k3v = qm * u3 - drift * v3
+    u4 = u + h * k3u
+    v4 = v + h * k3v
+    k4u = v4
+    k4v = q1 * u4 - drift * v4
+    sixth_h = h / 6.0
+    return (sixth_h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            sixth_h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
+def _compose_increments(D: np.ndarray) -> None:
+    """Prefix products of the step maps I + D[..., k], in increment form and in place.
+
+    D is 2 x 2 x m, step k's map I + D[..., k] in its last index, in sweep
+    order.  A Hillis-Steele scan (Blelloch, *Prefix sums and their
+    applications*, CMU-CS-90-190, 1990) composes, at offsets d = 1, 2, 4, ...,
+    each D[..., k] with k >= d with D[..., k - d] from before the pass, by
+    (I + A)(I + B) - I = A B + (A + B), A the later map; after the pass with
+    offset d, D[..., k] spans steps max(0, k - 2d + 1) .. k, and at the end
+    I + D[..., k] is the product of the maps of steps 0 .. k.  Entry k is
+    updated only in the passes with d <= k, in the same operations whatever m
+    is, so the first k + 1 entries are the same bits for every m > k.
+    """
+    m = D.shape[-1]
+    prod = np.empty_like(D)
+    term = np.empty_like(D)
+    d = 1
+    while d < m:
+        A, B = D[..., d:], D[..., :-d]
+        p, t = prod[..., d:], term[..., d:]
+        # (A B)[i, j] = A[i, 0] B[0, j] + A[i, 1] B[1, j]
+        np.multiply(A[:, :1], B[None, 0], out=p)
+        np.multiply(A[:, 1:], B[None, 1], out=t)
+        p += t
+        p += np.add(A, B, out=t)
+        A[...] = p
+        d *= 2
+
+
 def integrate_linear_ode2(
     grid: UniformGrid,
     Q: np.ndarray,
@@ -179,12 +234,25 @@ def integrate_linear_ode2(
     rightward, -1 leftward) to ``stop_index``, by default the grid end.  Q is
     interpolated at the half-steps by cubics through the nearest samples.
     Returns (w, w') with the nodes the sweep did not reach left at NaN;
-    callers doing two-sided sweeps merge them.  The overflow guard and the
-    finiteness check cover the swept nodes only.
+    callers doing two-sided sweeps merge them.
 
-    The loop is scalar Python: it reads Q and its midpoint values from
-    lists of Python complex numbers cut to the swept range and collects the
-    states in lists, which are written into the arrays once at the end.
+    The equation is linear, so each step maps the state y = (w, w') by a
+    2 x 2 matrix, y_{k+1} = (I + D_k) y_k, and the sweep is a prefix product
+    of these maps.  The increments D_k come from the 4-stage formulas applied
+    to the states (1, 0) and (0, 1), for all steps at once; a Hillis-Steele
+    scan composes them in ceil(log2 m) whole-array passes over the m steps,
+    and y_k = y_0 + D y_0 with D the composed increment.  The scan composes
+    the increments, not the maps I + D_k themselves: D_k is of the order of
+    the step, and I + D_k rounded to a float keeps only its bits above the
+    last place of 1: a scan of the maps ended some 100 times further from
+    exact arithmetic than a scalar step-by-step loop, and this scan ends
+    closer to it than that loop.  The first k steps are composed by the same
+    operations for any ``stop_index`` past them, so a sweep stopped early is
+    bit for bit a prefix of the whole one.  The overflow guard
+    (NonFiniteValue unless every swept state past the start is below 1e200
+    in modulus) and the finiteness check read the swept states after the
+    scan, so they cover the swept nodes only; a composed increment that
+    overflows on the way shows up as a non-finite state.
     """
     Q = grid.require_same(Q)
     if direction not in (-1, 1):
@@ -196,55 +264,38 @@ def integrate_linear_ode2(
         raise ValueError("start_index and stop_index must be grid nodes")
     if (stop_index - start_index) * direction < 0:
         raise ValueError("stop_index lies behind start_index in the sweep direction")
-    h = grid.step * direction
-    Qh = midpoint_values(grid, Q)
-    # Q at the swept nodes and at the midpoints between them, in sweep order,
-    # as Python complex numbers: indexing lists in the loop boxes nothing
     lo, hi = min(start_index, stop_index), max(start_index, stop_index)
-    Qs = Q[lo : hi + 1].astype(complex).tolist()
-    Qm = Qh[lo:hi].astype(complex).tolist()
-    if direction == -1:
-        Qs.reverse()
-        Qm.reverse()
-    # Python evaluates 0.5 * h * k as (0.5 * h) * k, so these are the same bits
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    u = complex(start_value)
-    v = complex(start_slope)
-    us = [u]
-    vs = [v]
-    for q0, qm, q1 in zip(Qs, Qm, Qs[1:]):
-        # k = (w', Q w - drift w')
-        k1u = v
-        k1v = q0 * u - drift * v
-        u2 = u + half_h * k1u
-        v2 = v + half_h * k1v
-        k2u = v2
-        k2v = qm * u2 - drift * v2
-        u3 = u + half_h * k2u
-        v3 = v + half_h * k2v
-        k3u = v3
-        k3v = qm * u3 - drift * v3
-        u4 = u + h * k3u
-        v4 = v + h * k3v
-        k4u = v4
-        k4v = q1 * u4 - drift * v4
-        u = u + sixth_h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + sixth_h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (abs(u) < _OVERFLOW_GUARD and abs(v) < _OVERFLOW_GUARD):
+    u0, v0 = complex(start_value), complex(start_slope)
+    if not (cmath.isfinite(u0) and cmath.isfinite(v0)):
+        raise NonFiniteValue("ODE sweep produced non-finite samples")
+    # the states in sweep order: y[:, k] = (w, w') after k steps
+    y = np.array([[u0], [v0]])
+    if hi > lo:
+        # Q at the swept nodes and at the midpoints between them, in sweep order
+        Qs = np.array(Q[lo : hi + 1][::direction], dtype=complex)
+        Qm = np.array(midpoint_values(grid, Q)[lo:hi][::direction], dtype=complex)
+        # D[..., k] = M_k - I: column j is what step k adds to the state e_j
+        D = np.empty((2, 2, hi - lo), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, state in enumerate(((1.0, 0.0), (0.0, 1.0))):
+                D[0, j], D[1, j] = _rk4_increment(*state, Qs[:-1], Qm, Qs[1:], drift,
+                                                  grid.step * direction)
+            del Qs, Qm  # before the scan's temporaries
+            _compose_increments(D)
+            # allocated after the scan, whose temporaries set the peak
+            y = np.empty((2, hi - lo + 1), dtype=complex)
+            y[:, 0] = u0, v0
+            np.multiply(D[:, 0], u0, out=y[:, 1:])
+            y[:, 1:] += D[:, 1] * v0
+            y[:, 1:] += y[:, :1]
+            del D  # before the full-grid outputs are allocated
+            past_start = np.abs(y[:, 1:])
+        if not np.all(past_start < _OVERFLOW_GUARD):
             raise NonFiniteValue("ODE sweep overflowed or produced NaN")
-        us.append(u)
-        vs.append(v)
-    if direction == -1:
-        us.reverse()
-        vs.reverse()
-    swept = slice(lo, hi + 1)
     w = np.full(n, np.nan, dtype=complex)
     wp = np.full(n, np.nan, dtype=complex)
-    w[swept] = us
-    wp[swept] = vs
-    if not (np.all(np.isfinite(w[swept])) and np.all(np.isfinite(wp[swept]))):
-        raise NonFiniteValue("ODE sweep produced non-finite samples")
+    w[lo : hi + 1] = y[0, ::direction]
+    wp[lo : hi + 1] = y[1, ::direction]
     return w, wp
 
 
@@ -515,7 +566,10 @@ def constrained_least_squares(A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np
         raise ValueError(f"ormqr/unmqr failed with info = {info}")
     y = np.empty(n, h.dtype)
     y[:p] = scipy.linalg.solve_triangular(h[:p, :p], d / scale, trans="C")
-    y[p:], residual, cond = solve(aq[:, p:], b - aq[:, :p] @ y[:p])
+    # b - A1 y1 by SciPy's BLAS, as the LAPACK calls around it: NumPy's
+    # matmul would run in another OpenBLAS with its own thread pool
+    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (aq,))
+    y[p:], residual, cond = solve(aq[:, p:], gemv(-1.0, aq[:, :p], y[:p], 1.0, b))
     x, _, info = ormqr("L", "N", h, tau, y[:, None], 1)
     if info != 0:
         raise ValueError(f"ormqr/unmqr failed with info = {info}")
