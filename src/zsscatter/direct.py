@@ -112,8 +112,28 @@ def a_polynomial(series: CoefficientSeries, N: int) -> np.ndarray:
 
 
 def _in_disk_roots(poly: np.ndarray, delta: float) -> np.ndarray:
+    """Roots of ``poly`` in |z| < 1 - delta, from the companion matrix of its
+    significant degree.
+
+    The coefficients of a(z) decay to rounding level long before the
+    truncation order (by 21 to 29 orders of magnitude on the reference
+    examples), and every root that tail adds lies outside the disk.  So the
+    companion matrix is built for p_m = c_0 + ... + c_{m-1} z^{m-1} only,
+    with m the smallest index whose tail sum_{k >= m} |c_k| is at most
+    eps * ||c||_1 (eps the float64 machine epsilon).  On |z| <= 1,
+    |p(z) - p_m(z)| <= sum_{k >= m} |c_k| <= eps ||c||_1, the order of the
+    coefficient error that the companion QR of the whole polynomial commits
+    anyway (Edelman and Murakami, Math. Comp. 64, 1995).  Hence a simple
+    root z_0 in the disk moves by about eps ||c||_1 / |p'(z_0)|, and, by
+    Rouche's theorem, p and p_m have the same number of roots in
+    |z| < 1 - delta wherever |p| > eps ||c||_1 on |z| = 1 - delta.  A tail
+    that leaves only c_0 gives no roots, as the whole polynomial's companion
+    matrix does, whose roots then all lie outside.
+    """
+    tail = np.cumsum(np.abs(poly[::-1]))[::-1]  # tail[k] = sum_{j >= k} |c_j|
+    m = int(np.count_nonzero(tail > np.finfo(float).eps * tail[0]))
     try:
-        roots = polynomial_roots(poly)
+        roots = polynomial_roots(poly[: max(m, 1)])
     except DegreeZero:
         # a constant a(z) (e.g. the zero potential) has no zeros at all
         return np.zeros(0, dtype=complex)
@@ -128,12 +148,19 @@ def find_eigenvalues(
 ) -> tuple[Eigenvalue, ...]:
     """Roots of the a-polynomial inside the unit disk mapped back to rho.
 
-    Candidates must (i) lie at least ``delta`` inside the circle, (ii) map to
-    Im rho > 0, (iii) have a small polynomial residual, and (iv) persist when
-    the polynomial is rebuilt with N-5 terms: Newton's method on that
-    polynomial, started at the candidate, must end within STABILITY_TOL of
-    it and inside the disk.  Truncation noise concentrates near |z| = 1, and
-    the persistence filter is what rejects it.
+    The candidates are the roots in |z| < 1 - ``delta`` of the polynomial's
+    significant part: its coefficients up to the last whose tail is above
+    eps times the polynomial's l1 norm (eps the float64 machine epsilon).  On
+    the disk that part differs from the whole polynomial by at most
+    eps ||c||_1, so by Rouche's theorem it has the same roots there, to
+    rounding (see ``_in_disk_roots``).  The filters read the whole
+    polynomial: candidates must (i) lie at least ``delta`` inside the
+    circle, (ii) map to Im rho > 0, (iii) have a small residual on the whole
+    polynomial, and (iv) persist when the polynomial is rebuilt with N-5
+    terms: Newton's method on that polynomial, started at the candidate,
+    must end within STABILITY_TOL of it and inside the disk.  Truncation
+    noise concentrates near |z| = 1, and the persistence filter is what
+    rejects it.
     """
     candidates = _in_disk_roots(poly, delta)
     scale = float(np.max(np.abs(poly)))

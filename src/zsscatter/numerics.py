@@ -154,10 +154,26 @@ def cumulative_integral_from_right(grid: UniformGrid, f: np.ndarray) -> np.ndarr
 def midpoint_values(grid: UniformGrid, f: np.ndarray) -> np.ndarray:
     """Values of f at subinterval midpoints by cubic interpolation of samples."""
     f = grid.require_same(f)
-    out = np.empty(grid.n_points - 1, dtype=np.result_type(f.dtype, np.float64))
-    out[1:-1] = (-f[:-3] + 9.0 * f[1:-2] + 9.0 * f[2:-1] - f[3:]) / 16.0
-    out[0] = (5.0 * f[0] + 15.0 * f[1] - 5.0 * f[2] + f[3]) / 16.0
-    out[-1] = (f[-4] - 5.0 * f[-3] + 15.0 * f[-2] + 5.0 * f[-1]) / 16.0
+    return _midpoints(f, 0, grid.n_points - 1)
+
+
+def _midpoints(f: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``midpoint_values`` of the subintervals lo .. hi - 1 only, the same bits.
+
+    Subinterval j lies between nodes j and j + 1.  The interior cubic reads
+    nodes j - 1 .. j + 2; the first and the last subinterval of the grid use
+    one-sided cubics.
+    """
+    n = f.shape[0]
+    out = np.empty(hi - lo, dtype=np.result_type(f.dtype, np.float64))
+    a, b = max(lo, 1), min(hi, n - 2)  # the interior subintervals a .. b - 1
+    if b > a:
+        out[a - lo : b - lo] = (-f[a - 1 : b - 1] + 9.0 * f[a:b] + 9.0 * f[a + 1 : b + 1]
+                                - f[a + 2 : b + 2]) / 16.0
+    if lo == 0:
+        out[0] = (5.0 * f[0] + 15.0 * f[1] - 5.0 * f[2] + f[3]) / 16.0
+    if hi == n - 1:
+        out[-1] = (f[-4] - 5.0 * f[-3] + 15.0 * f[-2] + 5.0 * f[-1]) / 16.0
     return out
 
 
@@ -232,7 +248,8 @@ def integrate_linear_ode2(
 
     The sweep starts at ``start_index`` and proceeds in ``direction`` (+1
     rightward, -1 leftward) to ``stop_index``, by default the grid end.  Q is
-    interpolated at the half-steps by cubics through the nearest samples.
+    interpolated at the swept half-steps only, by cubics through the nearest
+    samples (one-sided at the grid ends, as in ``midpoint_values``).
     Returns (w, w') with the nodes the sweep did not reach left at NaN;
     callers doing two-sided sweeps merge them.
 
@@ -273,7 +290,7 @@ def integrate_linear_ode2(
     if hi > lo:
         # Q at the swept nodes and at the midpoints between them, in sweep order
         Qs = np.array(Q[lo : hi + 1][::direction], dtype=complex)
-        Qm = np.array(midpoint_values(grid, Q)[lo:hi][::direction], dtype=complex)
+        Qm = np.array(_midpoints(Q, lo, hi)[::direction], dtype=complex)
         # D[..., k] = M_k - I: column j is what step k adds to the state e_j
         D = np.empty((2, 2, hi - lo), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -313,16 +330,21 @@ def polynomial_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial with ascending-degree coefficients.
 
     Roots come from the eigenvalues of the balanced companion matrix (QR
-    iteration) and each is polished by up to two Newton steps on the
-    polynomial.  A step is taken only if it is finite and shorter than 1
-    and |p| at the new point is finite and no larger than at the old one:
-    at a multiple root p' is rounding noise, and an unchecked step would
-    throw the root away from it.
+    iteration, LAPACK ``geev``), as ``np.roots`` finds them, with a root at
+    z = 0 for each vanishing low-order coefficient.  Each is polished by up
+    to two Newton steps on the polynomial.  A step is taken only if it is
+    finite and shorter than 1 and |p| at the new point is finite and no
+    larger than at the old one: at a multiple root p' is rounding noise,
+    and an unchecked step would throw the root away from it.
     Real coefficients give a real companion matrix: its real QR iteration
     takes a third to a half of the time of the complex one at degree
-    450-500 and returns the non-real roots in exact conjugate pairs.
-    Complex coefficients use the complex companion matrix.  A NaN or inf
-    coefficient raises NonFiniteValue.
+    450-500 and returns the non-real roots in exact conjugate pairs.  It
+    runs on SciPy's LAPACK, the one the rest of the solve uses, and gives
+    NumPy's roots bit for bit at one BLAS thread.  Complex coefficients use
+    the complex companion matrix on NumPy's LAPACK: with SciPy's (1.17.1),
+    the complex QR iteration's last bits and root order changed with the
+    BLAS thread count from degree 160 on.  A NaN or inf coefficient raises
+    NonFiniteValue.
     """
     c = np.asarray(coeffs)
     c = c.astype(complex if np.iscomplexobj(c) else float)
@@ -343,10 +365,24 @@ def polynomial_roots(coeffs) -> np.ndarray:
             c = c[:-1]
     if c.size == 1:
         raise DegreeZero("polynomial is constant")
-    try:
-        roots = np.roots(c[::-1]).astype(complex)
-    except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
-        raise NoConvergence("companion-matrix QR did not converge") from exc
+    # each zero low-order coefficient is a root at z = 0; the rest of the
+    # roots are the eigenvalues of the companion matrix of c[k:]
+    k = int(np.argmax(c != 0))
+    head = c[k:]
+    d = head.size - 1
+    roots = np.zeros(d + k, dtype=complex)
+    if d > 0:
+        companion = np.zeros((d, d), dtype=c.dtype, order="F")
+        companion[0] = -head[-2::-1] / head[-1]
+        companion[np.arange(1, d), np.arange(d - 1)] = 1.0
+        try:
+            if companion.dtype == float:
+                roots[:d] = scipy.linalg.eigvals(companion, overwrite_a=True,
+                                                 check_finite=False)
+            else:
+                roots[:d] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
+            raise NoConvergence("companion-matrix QR did not converge") from exc
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p, dp = horner(c, roots)
         for _ in range(2):

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zsscatter as zs
+from zsscatter import direct as direct_module
 from zsscatter.coeffs import (
     DEFAULT_N_MAX,
     CoefficientTable,
     center_series,
     select_truncation_direct,
+    settled_series,
 )
 from zsscatter.direct import (
     DISK_MARGIN,
@@ -553,6 +555,116 @@ def test_refusal_at_the_eigenvalue_threshold():
     assert not _at_the_eigenvalue_threshold(bumps + [("gauss", 0.1, 0.5, 0.0)])
     assert not _at_the_eigenvalue_threshold([("sech", 1.5, 0.3334, 0.0)])
     assert not _at_the_eigenvalue_threshold([("gauss", 1.5, 1 / 3, 0.0)])
+
+
+def _whole_companion_in_disk_roots(poly, delta):
+    """Reference for ``direct._in_disk_roots``: the roots in |z| < 1 - delta
+    from the companion matrix of the whole polynomial, its tail included."""
+    try:
+        roots = polynomial_roots(poly)
+    except DegreeZero:
+        return np.zeros(0, dtype=complex)
+    return roots[np.abs(roots) < 1.0 - delta]
+
+
+def _eigenvalue_outcome(poly, series, N):
+    """The rho of ``find_eigenvalues``, or "unstable" where it raises UnstableSpectrum."""
+    try:
+        return [ev.rho for ev in find_eigenvalues(poly, series, N)]
+    except UnstableSpectrum:
+        return "unstable"
+
+
+def test_in_disk_roots_match_the_whole_companion(ex1_direct, ex2_direct, ex3_direct,
+                                                 ex4_direct, monkeypatch):
+    # the roots of the a-polynomial's significant part against those of the
+    # whole companion matrix, through the same filters: the four fixtures
+    # (degrees 70, 444, 496 and 88) and a seeded sample like the property
+    # tests' draws.  Measured: the rho agree to 5.6e-14 on ex2, whose
+    # largest is 4.95i, and to 1.3e-15 over the sample; the trim acts on 55
+    # of the 64 cases, and the counts are 0 to 5.
+    rng = np.random.default_rng(25)
+    mus = [mu for mu in rng.uniform(0.6, 3.4, size=24) if _clear_of_half_integers(mu)]
+    potentials = [zs.evaluate(zs.PotentialSpec(preset="sech_amplitude", params={"mu": mu}),
+                              zs.UniformGrid(30.0, 6001)) for mu in mus[:20]]
+    potentials += [_bump_potential(_drawn_bumps(rng)) for _ in range(40)]
+    assert len(potentials) == 60
+    cases = [(sd.series, sd.n_terms) for _, sd in (ex1_direct, ex2_direct, ex3_direct,
+                                                    ex4_direct)]
+    for p in potentials:
+        series = settled_series(zs.compute_basis(p, reach=DEFAULT_N_MAX), p, DEFAULT_N_MAX)
+        cases.append((series, select_truncation_direct(series, p).chosen_N))
+    trimmed = 0
+    for series, N in cases:
+        poly = a_polynomial(series, N)
+        kept = _eigenvalue_outcome(poly, series, N)
+        with monkeypatch.context() as m:
+            m.setattr(direct_module, "_in_disk_roots", _whole_companion_in_disk_roots)
+            expected = _eigenvalue_outcome(poly, series, N)
+        if expected == "unstable" or kept == "unstable":
+            assert kept == expected, N
+            continue
+        assert len(kept) == len(expected), N
+        np.testing.assert_allclose(kept, expected, rtol=0.0, atol=1e-12)
+        tail = np.cumsum(np.abs(poly[::-1]))[::-1]
+        trimmed += tail[-1] <= np.finfo(float).eps * tail[0]
+    # the trim acts on most cases, so the sample tests it
+    assert trimmed >= 40
+
+
+def _degrees_solved(monkeypatch):
+    """Record the degree of every polynomial ``_in_disk_roots`` hands on."""
+    degrees = []
+
+    def spy(c):
+        degrees.append(len(c) - 1)
+        return polynomial_roots(c)
+
+    monkeypatch.setattr(direct_module, "polynomial_roots", spy)
+    return degrees
+
+
+def test_trim_cuts_a_rounding_level_tail_to_the_head(monkeypatch):
+    factors = np.array([0.3, -0.5, 0.2 + 0.4j, 0.2 - 0.4j, -0.1 + 0.7j, -0.1 - 0.7j])
+    head = np.polynomial.polynomial.polyfromroots(factors).real
+    rng = np.random.default_rng(3)
+    tail = 1e-22 * np.abs(head).sum() * rng.uniform(-1.0, 1.0, size=40)
+    assert np.abs(tail).sum() <= 1e-20 * np.abs(head).sum()
+    degrees = _degrees_solved(monkeypatch)
+    roots = direct_module._in_disk_roots(np.concatenate([head, tail]), DISK_MARGIN)
+    assert degrees == [len(head) - 1]
+    assert roots.size == factors.size
+    for f in factors:
+        assert np.min(np.abs(roots - f)) < 1e-12
+
+
+def test_trim_keeps_a_root_next_to_the_circle(monkeypatch):
+    # a conjugate pair at |z| = 1 - 1e-4 times the degree-80 geometric
+    # series of z/2, whose other roots lie on |z| = 2 and whose
+    # coefficients fall to 1e-24: the trim drops some 30 orders
+    r = (1.0 - 1e-4) * np.exp(1.0j)
+    geometric = 0.5 ** np.arange(81)
+    poly = np.convolve(np.polynomial.polynomial.polyfromroots([r, np.conj(r)]).real, geometric)
+    degrees = _degrees_solved(monkeypatch)
+    roots = direct_module._in_disk_roots(poly, DISK_MARGIN)
+    assert degrees[0] < len(poly) - 1 - 20
+    assert roots.size == 2
+    for f in (r, np.conj(r)):
+        assert np.min(np.abs(roots - f)) < 1e-12
+    np.testing.assert_allclose(np.sort_complex(roots),
+                               np.sort_complex(_whole_companion_in_disk_roots(poly, DISK_MARGIN)),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_trim_to_a_constant_gives_no_roots(monkeypatch):
+    # every root of 1 + 1e-17 z + 1e-17 z^2 lies near |z| = 3e8: its tail is
+    # below eps of its l1 norm, and the trimmed constant has no roots at all
+    poly = np.array([1.0, 1e-17, 1e-17])
+    assert np.min(np.abs(polynomial_roots(poly))) > 1e8
+    degrees = _degrees_solved(monkeypatch)
+    assert direct_module._in_disk_roots(poly, DISK_MARGIN).size == 0
+    assert degrees == [0]
+    assert _whole_companion_in_disk_roots(poly, DISK_MARGIN).size == 0
 
 
 @given(_bump_sums)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import zsscatter as zs
 from zsscatter import basis as basis_module, direct as direct_module, numerics
-from zsscatter.errors import DegreeZero, NonFiniteValue, RankDeficient
+from zsscatter.errors import DegreeZero, NoConvergence, NonFiniteValue, RankDeficient
 from zsscatter.jost import JostFactors, z_of_rho
 from zsscatter.numerics import (
     CumulativeIntegrator,
@@ -206,6 +206,28 @@ class TestOdeIntegration:
         rest = np.ones(101, dtype=bool)
         rest[swept] = False
         assert np.all(np.isnan(w[rest])) and np.all(np.isnan(wp[rest]))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 100), (0, 1), (99, 100), (1, 99), (0, 50),
+                                       (50, 100), (30, 60), (2, 3)])
+    def test_window_midpoints_are_the_whole_grid_bits(self, lo, hi, monkeypatch):
+        # a sweep interpolates Q at its own half-steps only, with the
+        # one-sided cubics at the true grid ends, the same bits as over the
+        # whole grid
+        g = UniformGrid(1.0, 101)
+        Q = 4.0 + np.sin(3.0 * g.nodes) + 1j * np.cos(g.nodes)
+        assert np.array_equal(numerics._midpoints(Q, lo, hi), midpoint_values(g, Q)[lo:hi])
+        windows = []
+
+        midpoints = numerics._midpoints
+
+        def spy(f, a, b):
+            windows.append((a, b))
+            return midpoints(f, a, b)
+
+        monkeypatch.setattr(numerics, "_midpoints", spy)
+        integrate_linear_ode2(g, Q, 0.3, hi, 1.0, 0.5, -1, lo)
+        integrate_linear_ode2(g, Q, 0.3, lo, 1.0, 0.5, +1, hi)
+        assert windows == [(lo, hi), (lo, hi)]
 
     def test_stop_index_behind_start_rejected(self):
         g = UniformGrid(1.0, 11)
@@ -528,6 +550,14 @@ class TestPolynomialRoots:
         for bad in ([np.nan, 1.0, 1e-320], [1.0, np.inf, 2.0], [1.0, 2.0, complex(0, np.nan)]):
             with pytest.raises(NonFiniteValue, match="finite"):
                 polynomial_roots(bad)
+
+    def test_failed_qr_iteration_raises_no_convergence(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eig algorithm did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", no_convergence)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            polynomial_roots([1.0, 2.0, 3.0])
 
     @given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=8))
     # a double root: p' there is rounding noise, and an unchecked Newton
