@@ -172,6 +172,12 @@ def _inverse_stage(sd, args):
             f"(Chebyshev tail at {info['chop_level']:.1e}); raise --x-points",
             file=sys.stderr,
         )
+    if info["sweep_rank_truncated"]:
+        print(
+            f"warning: {info['sweep_rank_truncated']} of {info['x_nodes']} sweep nodes dropped "
+            f"rank (condition up to {info['max_condition']:.1e}); lower --inverse-n",
+            file=sys.stderr,
+        )
     return rec, coeffs, info
 
 

@@ -19,10 +19,8 @@ from .numerics import (
     chebyshev_derivative,
     chebyshev_points,
     chebyshev_values,
-    constrained_least_squares,
-    eliminate_constraints,
     least_squares_solve,
-    pivot_unknowns,
+    null_space_reduce,
     qr_stage_one,
     qr_stage_two,
     standard_chop,
@@ -190,8 +188,10 @@ class _FactorTables:
     system has the least-squares minimizer of the real split, and its
     solution read as reals is that split's unknowns in the same order.
     ``assemble`` keeps its 2K collocation rows and its 2M eigenvalue rows
-    in separate buffers, since the sweep takes the rows s3 + i s4 as
-    equality constraints.
+    in separate buffers, since the solves take the rows s3 + i s4 as
+    equality constraints; the collocation rows and their right-hand side
+    share one column-major buffer [C | r], which the solve at a node
+    reduces and factors where it lies.
 
     Both forms are packed from one set of per-node products.  The tables
     own both forms' matrices and reuse them for every node, so a sweep
@@ -247,7 +247,7 @@ class _FactorTables:
         self.Pzm = JostFactors.collocation_columns(zm, N)
         self.c = sd.norming_constants.astype(complex)
         self._rows = 2 * (self.K + self.M)
-        self._C = None  # complex form, column-major as LAPACK factors it
+        self._Cr = None  # complex form [C | r], column-major as LAPACK factors it
         self._A = None  # real split
 
     def _products(self, x: float, em_pz=None, pa=None, pb=None):
@@ -269,18 +269,18 @@ class _FactorTables:
     def assemble(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The complex system at x: the 2K collocation rows (C, r) and the
         2M eigenvalue rows (E, d), E holding the M rows s3 + i s4, then
-        their conjugate rows conj(s3 - i s4).  All four are the tables'
-        buffers, overwritten by the next call; C is column-major."""
+        their conjugate rows conj(s3 - i s4).  All four are views of the
+        tables' buffers, overwritten by the next call: C and r are the
+        columns of one column-major buffer [C | r]."""
         K, M = self.K, self.M
-        if self._C is None:
-            n = 2 * (self.N + 1)
-            self._C = np.empty((2 * K, n), dtype=complex, order="F")
-            self._r = np.empty(2 * K, dtype=complex)
+        n = 2 * (self.N + 1)
+        if self._Cr is None:
+            self._Cr = np.empty((2 * K, n + 1), dtype=complex, order="F")
             self._E = np.empty((2 * M, n), dtype=complex)
             self._d = np.empty(2 * M, dtype=complex)
             self._pa = np.empty_like(self.Pz)
             self._pb = np.empty_like(self.Pz)
-        C, r, E, d = self._C, self._r, self._E, self._d
+        C, r, E, d = self._Cr[:, :n], self._Cr[:, n], self._E, self._d
         # on (b_n, a_n): s1 + i s2 = [em Pz, pa - i pb] and
         # conj(s1 - i s2) = conj[em Pz, pa + i pb]
         u, v = C[:K], C[K:]
@@ -351,29 +351,71 @@ _CHOP_TOL = np.finfo(float).eps
 _GAP_MAX = 0.01
 
 
-def _solve_node(tables: _FactorTables, x: float):
-    """(solution, residual, rhs norm, condition, constraint residual) at x.
+def _solve_node(tables: _FactorTables, x: float, widths, cond_max: float = np.inf):
+    """Constrained solves at x on the leading ``widths`` unknowns (ascending):
+    a list of (solution, residual, rhs norm, condition, constraint
+    residual), one per width, up to the first whose reduced condition
+    reaches ``cond_max``.
 
     The collocation rows are solved in the least-squares sense subject to
     the M eigenvalue rows s3 + i s4 as equality constraints; for real q
     their conjugate rows hold with them, and the constraint residual
-    covers both.  The reduced solve is ``least_squares_solve`` as this
-    module looks it up."""
+    covers both.  :func:`~zsscatter.numerics.null_space_reduce` removes the
+    constraints on the smallest width's columns, in the tables' [C | r]
+    buffer, with the right-hand side moved next to the largest width's
+    columns, so every width's reduced system is a leading block of one
+    system (see ``_reduced_solves``)."""
     C, r, E, d = tables.assemble(x)
+    M, n = tables.M, widths[-1]
     rhs_norm = np.linalg.norm(r)
+    aug = tables._Cr[:, : n + 1]
+    aug[:, n] = r  # a no-op unless the largest width is short of the tables'
+    solved = []
     try:
-        sol, res, cond = constrained_least_squares(C, r, E[: tables.M], d[: tables.M],
-                                                   solve=least_squares_solve)
+        expand = null_space_reduce(aug, E[:M, :n], d[:M], widths[0])
+        reduced = _reduced_solves(aug[:, M:], [width - M for width in widths])
+        for width, (z, residual, cond) in zip(widths, reduced):
+            if not cond < cond_max:
+                break
+            sol = expand(z)
+            solved.append((sol, residual, rhs_norm, cond,
+                           _constraint_residual(E[:, :width], d, sol)))
     except RankDeficient as exc:
         raise RankDeficient(f"rank-deficient collocation system at x = {x:g}: {exc}") from exc
-    if not tables.M:
-        return sol, res, rhs_norm, cond, 0.0
-    # |E sol - d| / (|E| |sol| + |d|) by SciPy's BLAS, as the solve: NumPy's
-    # matmul would run in another OpenBLAS with its own thread pool; E is
-    # row-major, so gemv takes its transpose
+    return solved
+
+
+def _reduced_solves(reduced: np.ndarray, widths):
+    """(z, residual, condition) on each of the leading ``widths`` columns of
+    the reduced system ``reduced`` = [A | b], lazily.
+
+    A single width, as the sweep asks, is ``least_squares_solve`` of a
+    copy, looked up through this module, whose name perfbench's tracer
+    wraps.  Several share one ``qr_stage_one`` of ``reduced``, factored in
+    place, with one ``qr_stage_two`` each; a leading block's residual is the
+    part of Q^H b past its triangle."""
+    if len(widths) == 1:
+        yield least_squares_solve(reduced[:, :-1], reduced[:, -1])
+        return
+    factor, col_scale = qr_stage_one(reduced)
+    n = reduced.shape[1] - 1
+    tail = abs(factor[n, n]) if factor.shape[0] > n else 0.0
+    for k in widths:
+        z, cond, dropped = qr_stage_two(factor, k)
+        residual = np.hypot(np.linalg.norm(factor[k:n, n]), tail)
+        yield z / col_scale[:k], float(np.hypot(residual, dropped)), cond
+
+
+def _constraint_residual(E: np.ndarray, d: np.ndarray, sol: np.ndarray) -> float:
+    """max |E sol - d| / (|E| |sol| + |d|) over the rows, 0 for none."""
+    if not E.shape[0]:
+        return 0.0
+    # by SciPy's BLAS, as the solve: NumPy's matmul would run in another
+    # OpenBLAS with its own thread pool; E is row-major, so gemv takes its
+    # transpose
     defect = np.abs(scipy.linalg.blas.zgemv(1.0, E.T, sol, -1.0, d, trans=1))
     defect /= scipy.linalg.blas.dgemv(1.0, np.abs(E).T, np.abs(sol), 1.0, np.abs(d), trans=1)
-    return sol, res, rhs_norm, cond, float(defect.max())
+    return float(defect.max())
 
 
 def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficients:
@@ -399,7 +441,9 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
     n = _FIRST_LEVEL
     while n + 1 > grid.n_points:
         n //= 2
-    solved = [_solve_node(tables, float(x)) for x in chebyshev_points(grid.half_width, n)]
+    width = [2 * (N + 1)]
+    solved = [_solve_node(tables, float(x), width)[0]
+              for x in chebyshev_points(grid.half_width, n)]
     while True:
         # b_0, a_0, b_1, ... read as reals is the degree order of X
         X = np.array([s[0] for s in solved]).view(np.float64)
@@ -413,7 +457,8 @@ def _solve_sweep(tables: _FactorTables, grid: UniformGrid) -> RecoveredCoefficie
                 n + 1 > grid.n_points or _quotient_gap(X, grid.half_width) <= _GAP_MAX):
             break
         n *= 2
-        new = [_solve_node(tables, float(x)) for x in chebyshev_points(grid.half_width, n)[1::2]]
+        new = [_solve_node(tables, float(x), width)[0]
+               for x in chebyshev_points(grid.half_width, n)[1::2]]
         # the old level is every other node of the new one
         solved = [s for pair in zip(solved, new) for s in pair] + solved[-1:]
     _, res, rhs_norms, conditions, defects = (np.array(v) for v in zip(*solved))
@@ -446,41 +491,25 @@ def _selection_order_zero(sd: ScatteringData, candidates, grid: UniformGrid, K: 
     half-line system has fewer rows, 2K, than unknowns, 2(N + 1) - M, or
     whose reduced condition reaches ``_SELECTION_COND_MAX`` at some node.
 
-    The half-line tables are built once, for the largest candidate.
-    At each node :func:`~zsscatter.numerics.eliminate_constraints` removes
-    the M eigenvalue rows s3 + i s4 on pivot columns among the smallest
-    candidate's, and the other columns keep degree order, so candidate N's
-    reduced system is the leading 2(N + 1) - M columns of the largest
-    one's: one complex ``qr_stage_one`` per node serves every candidate,
-    with one ``qr_stage_two`` each.  The configuration is refused before
-    any table is built if the full set of chosen nodes cannot hold the
-    largest candidate, K + M < N + 1; dependent constraint rows raise
-    RankDeficient naming x, as in the sweep.
+    The half-line tables are built once, for the largest candidate.  In
+    degree order a candidate's unknowns are the leading 2(N + 1) columns of
+    the largest one's, so one :func:`_solve_node` per node, with the
+    eigenvalue rows removed on the smallest candidate's columns, serves
+    every candidate still walked.  The configuration is refused before any
+    table is built if the full set of chosen nodes cannot hold the largest
+    candidate, K + M < N + 1; dependent constraint rows raise RankDeficient
+    naming x, as in the sweep.
     """
     tables = _FactorTables(sd, candidates[-1], K, half_line=True)
-    M = tables.M
-    widths = [2 * (N + 1) - M for N in candidates]
-    reduced = np.empty((2 * tables.K, widths[-1] + 1), dtype=complex, order="F")
+    widths = [2 * (N + 1) for N in candidates]
     order_zero = np.empty((len(candidates), grid.n_points, 2), dtype=complex)
-    passed = int(np.searchsorted(widths, 2 * tables.K, side="right"))
+    passed = int(np.searchsorted(widths, 2 * tables.K + tables.M, side="right"))
     for j, x in enumerate(grid.nodes):
         if passed == 0:
             break
-        C, r, E, d = tables.assemble(float(x))
-        try:
-            P, R, Gg = eliminate_constraints(C, r, E[:M], d[:M], widths[0] + M, reduced)
-        except RankDeficient as exc:
-            raise RankDeficient(f"rank-deficient collocation system at x = {x:g}: {exc}") from exc
-        # the candidates past the guard are not solved again
-        factor, col_scale = qr_stage_one(reduced[:, : widths[passed - 1]], reduced[:, -1])
-        for i, n in enumerate(widths[:passed]):
-            y, cond, _ = qr_stage_two(factor, n)
-            if not cond < _SELECTION_COND_MAX:
-                passed = i
-                break
-            sol = np.empty(n + M, dtype=complex)
-            sol[R[:n]] = y / col_scale[:n]
-            sol[P] = pivot_unknowns(Gg, sol[R[:n]])
+        solved = _solve_node(tables, float(x), widths[:passed], _SELECTION_COND_MAX)
+        passed = len(solved)
+        for i, (sol, *_) in enumerate(solved):
             order_zero[i, j] = sol[:2]
     return order_zero[:passed], passed
 
@@ -491,7 +520,10 @@ def select_truncation_inverse(
     """Pick N by the order-zero step delta(N).
 
     delta(N) = max over the selection grid of |b_0(N) - b_0(N')| and
-    |a_0(N) - a_0(N')|, N' the next candidate, from the constrained solves.
+    |a_0(N) - a_0(N')|, N' the next candidate, from the constrained solves
+    of the sweep's kernel (``_solve_node``), which at each selection node
+    reduces the largest candidate's system once and solves every candidate
+    on a leading block of it.
     The candidates, repeats counted once, are walked upward to the first
     that fails the guard of ``_selection_order_zero`` (an underdetermined
     half-line system, or a reduced condition of 1/sqrt(eps) = 6.7e7 or

@@ -27,9 +27,7 @@ __all__ = [
     "horner",
     "polynomial_roots",
     "least_squares_solve",
-    "constrained_least_squares",
-    "eliminate_constraints",
-    "pivot_unknowns",
+    "null_space_reduce",
     "qr_stage_one",
     "qr_stage_two",
     "differentiate",
@@ -407,6 +405,8 @@ def polynomial_roots(coeffs) -> np.ndarray:
 _RANK_TOL = 1e-12
 # Block size of the first-stage QR (LAPACK geqrt, recursive panels).
 _QR_BLOCK = 32
+# Columns per block of the stage-one column norms.
+_NORM_BLOCK = 16
 
 
 def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -425,71 +425,63 @@ def least_squares_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     Returns (x, residual_norm, condition_estimate), the estimate as
     :func:`qr_stage_two` gives it and the residual that of the returned x,
     read from the factors: |R0[n, n]| (0 when m == n) combined with the
-    part of Q^H b on the dropped pivots.  Any layout of A gives the same
-    bits.  NaN or inf in A or b raises ValueError.
+    part of Q^H b on the dropped pivots.  A and b are copied into one
+    column-major [A | b] for stage one to factor, so neither is overwritten
+    and any layout of A gives the same bits.  NaN or inf in A or b raises
+    ValueError.
     """
-    factor, col_scale = qr_stage_one(*_fixed_layout(A, b))
-    n = col_scale.size
-    x, cond, dropped = qr_stage_two(factor, n)
-    x /= col_scale
-    # R of [A | b] ends in the norm of the part of b outside the range of A
-    residual = float(abs(factor[n, n])) if factor.shape[0] > n else 0.0
-    return x, float(np.hypot(residual, dropped)), cond
-
-
-def _solve_dtype(A, b) -> np.dtype:
-    """float64, or complex128 if A or b is complex."""
-    return np.result_type(np.asarray(A).dtype, np.asarray(b).dtype, np.float64)
-
-
-def _fixed_layout(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """A and b in their solve dtype, A in the one layout the solves take.
-
-    The column norms, and with them the rank decision, depend on the
-    summation order, so a real A is taken row-major, as it always was, and
-    a complex A column-major, the order LAPACK factors."""
-    dtype = _solve_dtype(A, b)
-    layout = np.asfortranarray if dtype.kind == "c" else np.ascontiguousarray
-    return layout(A, dtype=dtype), np.asarray(b, dtype=dtype)
-
-
-def qr_stage_one(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage one of :func:`least_squares_solve`: (factor, col_scale).
-
-    The columns of A are scaled to unit norm (``col_scale`` holds the norms,
-    1 for a zero column), and ``factor`` is the blocked Householder QR of the
-    equilibrated [A | b] in LAPACK's geqrt layout: R0 in its upper n x n
-    triangle, Q^H b in its last column and the residual norm, up to sign,
-    in entry (n, n) when m > n.  The factor is real (dgeqrt) for real A and
-    b and complex (zgeqrt) if either is complex.  Householder reflector k
-    touches rows k..m-1 only, and a column's scale does not depend on the
-    others, so for every n' <= n the leading n' x n' triangle and the first
-    n' entries of the last column are the stage-one factors of the system
-    of A's leading n' columns.  A is factored as laid out, its column norms
-    summed in memory order.  ValueError unless A is m x n with m >= n >= 1
-    and b has length m, both finite.
-    """
-    dtype = _solve_dtype(A, b)
-    A = np.asarray(A, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
+    A, b = np.asarray(A), np.asarray(b)
+    if A.ndim != 2:
         raise ValueError("A must be m x n with m >= n >= 1")
     if b.shape != A.shape[:1]:
         raise ValueError(f"b of shape {b.shape} does not match A with {A.shape[0]} rows")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    m, n = A.shape
+    aug = np.empty((m, n + 1), np.result_type(A, b, np.float64), order="F")
+    aug[:, :n] = A
+    aug[:, n] = b
+    factor, col_scale = qr_stage_one(aug)
+    x, cond, dropped = qr_stage_two(factor, n)
+    x /= col_scale
+    # R of [A | b] ends in the norm of the part of b outside the range of A
+    residual = float(abs(factor[n, n])) if m > n else 0.0
+    return x, float(np.hypot(residual, dropped)), cond
+
+
+def qr_stage_one(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one of :func:`least_squares_solve`, in place: (factor, col_scale).
+
+    ``aug`` is the caller's m x (n + 1) array [A | b], column-major, float64
+    or complex128; it is overwritten, and nothing is copied.  The columns of
+    A are scaled to unit norm (``col_scale`` holds the norms, each summed
+    down its column, 1 for a zero column), and ``factor``, which is ``aug``
+    itself, is the blocked Householder QR (LAPACK dgeqrt or zgeqrt) of the
+    equilibrated [A | b] in geqrt's layout: R0 in its upper n x n triangle,
+    Q^H b in its last column and the residual norm, up to sign, in entry
+    (n, n) when m > n.  Householder reflector k touches rows k..m-1 only,
+    and a column's scale does not depend on the others, so for every
+    n' <= n the leading n' x n' triangle and the first n' entries of the
+    last column are the stage-one factors of the system of A's leading n'
+    columns.  ValueError unless ``aug`` is such an array with m >= n >= 1,
+    all finite.
+    """
+    if not (aug.ndim == 2 and aug.flags.f_contiguous
+            and aug.dtype in (np.float64, np.complex128)):
+        raise ValueError("[A | b] must be a column-major float64 or complex128 array")
+    m, n = aug.shape[0], aug.shape[1] - 1
+    if m < n or n < 1:
+        raise ValueError("A must be m x n with m >= n >= 1")
+    if not np.isfinite(aug).all():
         raise ValueError("A and b must be finite")
     # equilibrate columns so the rank test is invariant to column scaling;
-    # this rescales the unknowns, which leaves the minimizer unchanged
-    if dtype.kind == "c":
-        col_scale = np.linalg.norm(A, axis=0)
-    else:
-        # np.linalg.norm(A, axis=0) without its conj() copy, bit for bit
-        col_scale = np.sqrt(np.add.reduce(A * A, axis=0))
+    # this rescales the unknowns, which leaves the minimizer unchanged.  The
+    # norms are summed down each column, a block of columns at a time: the
+    # bits of one np.linalg.norm(A, axis=0), with a temporary of one block
+    A = aug[:, :n]
+    col_scale = np.empty(n)
+    for j in range(0, n, _NORM_BLOCK):
+        col_scale[j : j + _NORM_BLOCK] = np.linalg.norm(A[:, j : j + _NORM_BLOCK], axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    m, n = A.shape
-    aug = np.empty((m, n + 1), A.dtype, order="F")
-    np.divide(A, col_scale, out=aug[:, :n])
-    aug[:, n] = b
+    A /= col_scale
     geqrt = scipy.linalg.lapack.get_lapack_funcs("geqrt", (aug,))
     factor, _, info = geqrt(min(_QR_BLOCK, n), aug, overwrite_a=True)
     if info != 0:
@@ -558,116 +550,79 @@ def qr_stage_two(factor: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
     return x, float(dmax / dmin) if dmin > 0.0 else np.inf, dropped
 
 
-def constrained_least_squares(A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np.ndarray,
-                              solve=least_squares_solve) -> tuple[np.ndarray, float, float]:
-    """Minimize ||Ax - b||_2 subject to E x = d, by the null-space method.
+def null_space_reduce(aug: np.ndarray, E: np.ndarray, d: np.ndarray, n_lead: int):
+    """Reduce min ||Ax - b||_2 subject to E x = d to a least-squares problem
+    in place, by the null-space method (Golub & Van Loan, *Matrix
+    Computations*, section 6.2).
 
-    The rows of E are scaled to unit norm (which leaves the constraints as
-    they are), and a Householder QR (LAPACK geqrf) gives E^H = Q [R; 0].
-    Then x = Q [y1; y2] with R^H y1 = d, and A Q = [A1 | A2] turns the
-    problem into min ||A2 y2 - (b - A1 y1)||, which ``solve`` (by default
-    :func:`least_squares_solve`) takes on the trailing columns of A Q.  The
-    reflectors are applied to A from the right in place (LAPACK ormqr, or
-    unmqr for complex A), so A, which must be column-major in the solve's
-    dtype, is overwritten; b, E and d are not.  Golub & Van Loan, *Matrix
-    Computations*, section 6.2.
+    ``aug`` is the m x (n + 1) array [A | b], column-major in the dtype of
+    the solve, and E is p x n.  The rows of E are scaled to unit norm, which
+    leaves the constraints as they are, and E = [E1 | E2] splits after its
+    leading ``n_lead`` columns.  A Householder QR (LAPACK geqrf) gives
+    E1^H = Q [R; 0]; with x1 = Q y the constraints read y1 = g - G x2, where
+    [G | g] = R^-H [E2 | d] comes from one triangular solve.  In place, the
+    reflectors are applied to A's leading ``n_lead`` columns from the right
+    (ormqr, or unmqr for complex A), then A2 -= (A Q)1 G (BLAS gemm) and
+    b -= (A Q)1 g (gemv).  What is left is min ||aug[:, p:n] z - aug[:, n]||
+    over z = [y2; x2], whose columns keep the order of A's: for every
+    n' >= ``n_lead``, the problem on the leading n' columns of A and E
+    reduces to the leading n' - p columns of ``aug[:, p:n]``.
 
-    Returns (x, residual_norm, condition_estimate) as ``solve`` gives them
-    for the reduced system.  With no constraint rows this is ``solve(A, b)``.
-    Raises RankDeficient if E has more rows than columns, or if its scaled
-    rows are dependent: a pivot of R below ``_RANK_TOL`` times the largest.
+    Returns ``expand``: for a solution z of such a leading block,
+    ``expand(z)`` is x, of length z.size + p, x1 = Q [g - G x2; y2] by one
+    more ormqr/unmqr.  With no constraint rows ``aug`` is left as it is and
+    ``expand(z)`` is z.  E and d are not overwritten.  Raises RankDeficient
+    if E has more rows than ``n_lead``, or if its scaled rows are dependent
+    on the leading columns: a pivot of R not above ``_RANK_TOL`` times the
+    largest.
     """
     p, n = E.shape
+    if not (aug.flags.f_contiguous and aug.dtype == np.result_type(aug, E, d, np.float64)):
+        raise ValueError("[A | b] must be column-major in the dtype of the solve")
     if p == 0:
-        return solve(A, b)
-    if p > n:
-        raise RankDeficient(f"{p} constraints on {n} unknowns")
-    if not (A.flags.f_contiguous and A.dtype == _solve_dtype(A, E)):
-        raise ValueError("A must be column-major in the dtype of the solve")
+        return lambda z: z
+    if p > n_lead:
+        raise RankDeficient(f"{p} constraints on {n_lead} unknowns")
     scale = np.linalg.norm(E, axis=1)
     scale[scale == 0.0] = 1.0
-    geqrf = scipy.linalg.lapack.get_lapack_funcs("geqrf", (A,))
-    h, tau, _, info = geqrf(np.asfortranarray((E.conj() / scale[:, None]).T, dtype=A.dtype),
-                            overwrite_a=True)
+    geqrf = scipy.linalg.lapack.get_lapack_funcs("geqrf", (aug,))
+    h, tau, _, info = geqrf(np.asfortranarray((E[:, :n_lead].conj() / scale[:, None]).T,
+                                              dtype=aug.dtype), overwrite_a=True)
     if info != 0:
         raise ValueError(f"geqrf failed with info = {info}")
     pivots = np.abs(np.diagonal(h))
-    if not pivots.min() >= _RANK_TOL * pivots.max():
+    if not pivots.min() > _RANK_TOL * pivots.max():
         raise RankDeficient("the constraint rows are linearly dependent")
     ormqr = scipy.linalg.lapack.zunmqr if h.dtype.kind == "c" else scipy.linalg.lapack.dormqr
     # lwork = rows of A: the unblocked loop, which LAPACK takes anyway for
     # fewer reflectors than its block size
-    aq, _, info = ormqr("R", "N", h, tau, A, max(1, A.shape[0]), overwrite_c=True)
+    _, _, info = ormqr("R", "N", h, tau, aug[:, :n_lead], max(1, aug.shape[0]),
+                       overwrite_c=True)
     if info != 0:
         raise ValueError(f"ormqr/unmqr failed with info = {info}")
-    y = np.empty(n, h.dtype)
-    y[:p] = scipy.linalg.solve_triangular(h[:p, :p], d / scale, trans="C")
-    # b - A1 y1 by SciPy's BLAS, as the LAPACK calls around it: NumPy's
-    # matmul would run in another OpenBLAS with its own thread pool
-    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (aq,))
-    y[p:], residual, cond = solve(aq[:, p:], gemv(-1.0, aq[:, :p], y[:p], 1.0, b))
-    x, _, info = ormqr("L", "N", h, tau, y[:, None], 1)
-    if info != 0:
-        raise ValueError(f"ormqr/unmqr failed with info = {info}")
-    return x[:, 0], residual, cond
+    Gg = scipy.linalg.solve_triangular(
+        h[:p, :p], np.column_stack([E[:, n_lead:], d]) / scale[:, None], trans="C")
+    # SciPy's BLAS, as the LAPACK calls around it: NumPy's matmul would run
+    # in another OpenBLAS with its own thread pool
+    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (aug,))
+    if n > n_lead:
+        gemm = scipy.linalg.blas.get_blas_funcs("gemm", (aug,))
+        gemm(-1.0, aug[:, :p], Gg[:, :-1], 1.0, aug[:, n_lead:n], overwrite_c=True)
+    gemv(-1.0, aug[:, :p], Gg[:, -1], 1.0, aug[:, n], overwrite_y=True)
 
+    def expand(z: np.ndarray) -> np.ndarray:
+        lead = n_lead - p  # z is y2, then the leading entries of x2
+        y = np.empty(n_lead, h.dtype)
+        y[:p] = Gg[:, -1]
+        if z.size > lead:
+            y[:p] = gemv(-1.0, Gg[:, : z.size - lead], z[lead:], 1.0, y[:p])
+        y[p:] = z[:lead]
+        x1, _, info = ormqr("L", "N", h, tau, y[:, None], 1)
+        if info != 0:
+            raise ValueError(f"ormqr/unmqr failed with info = {info}")
+        return np.concatenate([x1[:, 0], z[lead:]])
 
-def eliminate_constraints(
-    A: np.ndarray, b: np.ndarray, E: np.ndarray, d: np.ndarray, n_lead: int, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direct elimination of E x = d from min ||Ax - b||_2 (Golub & Van Loan,
-    *Matrix Computations*, section 6.2).
-
-    A pivoted QR (geqp3) of the leading ``n_lead`` columns of E, rows scaled
-    to unit norm, picks p pivot columns P; an LU solve with E_P gives
-    x_P = g - G x_R, G = E_P^-1 E_R, g = E_P^-1 d, on the other columns R
-    (ascending).  One BLAS gemm writes (A_R - A_P G) x_R = b - A_P g into
-    ``out`` (column-major, m x (n - p + 1), the dtype of A and E), its
-    right-hand side last, so the problem on A's leading n' >= ``n_lead``
-    columns reduces to the leading n' - p columns of ``out``.  Returns
-    (P, R, Gg), Gg = [G | g] (see :func:`pivot_unknowns`).  Raises
-    RankDeficient for more rows than ``n_lead`` or rows dependent on those
-    columns (a pivot below ``_RANK_TOL`` times the largest).
-    """
-    p, n = E.shape
-    if p > n_lead:
-        raise RankDeficient(f"{p} constraints on {n_lead} unknowns")
-    if not out.flags.f_contiguous:
-        raise ValueError("out must be column-major")
-    P = np.empty(0, dtype=int)
-    if p:
-        scale = np.linalg.norm(E, axis=1)
-        scale[scale == 0.0] = 1.0
-        E = E / scale[:, None]
-        # a copy: geqp3 overwrites it, and one row is already column-major
-        h, _, perm = _pivoted_qr_raw(np.array(E[:, :n_lead], order="F"))
-        pivots = np.abs(np.diagonal(h))
-        if not pivots.min() > _RANK_TOL * pivots.max():
-            raise RankDeficient("the constraint rows are linearly dependent")
-        P = perm[:p]
-    R = np.setdiff1d(np.arange(n), P)
-    # the runs of R between the pivots, column slices: no temporary copy
-    lo = 0
-    for k, hi in enumerate([*np.sort(P), n]):
-        out[:, lo - k : hi - k] = A[:, lo:hi]
-        lo = hi + 1
-    out[:, -1] = b
-    if not p:
-        return P, R, np.empty((0, n + 1), dtype=out.dtype)
-    Gg = scipy.linalg.lu_solve(scipy.linalg.lu_factor(E[:, P]),
-                               np.column_stack([E[:, R], d / scale]))
-    # in place, since out is column-major in the dtype of the product
-    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (out,))
-    gemm(-1.0, A[:, P], Gg, 1.0, out, overwrite_c=True)
-    return P, R, Gg
-
-
-def pivot_unknowns(Gg: np.ndarray, x_R: np.ndarray) -> np.ndarray:
-    """x_P = g - G x_R (:func:`eliminate_constraints`) for x_R on R[:k], by BLAS gemv."""
-    if Gg.shape[0] == 0:
-        return Gg[:, -1].copy()
-    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (Gg,))
-    return gemv(-1.0, Gg[:, : x_R.size], x_R, 1.0, Gg[:, -1])
+    return expand
 
 
 def differentiate(grid: UniformGrid, f: np.ndarray) -> np.ndarray:

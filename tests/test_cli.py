@@ -208,6 +208,23 @@ def test_unresolved_sweep_warns(tmp_path, capsys):
                      f"at {summary['chop_level']:.1e}); raise --x-points"]
 
 
+def test_rank_truncated_sweep_warns(tmp_path, capsys):
+    # N = 90 on pi sech(pi x) is past the rank tolerance on [-4.8, 4.8]:
+    # some nodes' reduced solves drop pivots, which the sweep reports and
+    # the command line names
+    code = run(["roundtrip", "--potential", "preset:sech_scaled",
+                "--mu", "3.14159265358979", "--grid-points", "16001",
+                "--x-half-width", "4.8", "--x-points", "5", "--collocation", "400",
+                "--inverse-n", "90", "--output-dir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "inverse_summary.json").read_text())
+    truncated = summary["sweep_rank_truncated"]
+    assert 0 < truncated <= summary["x_nodes"] and summary["max_condition"] > 1e12
+    lines = [line for line in capsys.readouterr().err.splitlines() if "dropped rank" in line]
+    assert lines == [f"warning: {truncated} of {summary['x_nodes']} sweep nodes dropped rank "
+                     f"(condition up to {summary['max_condition']:.1e}); lower --inverse-n"]
+
+
 def test_resolved_sweep_does_not_warn(tmp_path, capsys):
     out_dir = tmp_path / "direct"
     assert run(["direct", "--potential", "preset:zero", "--grid-points", "401",
@@ -215,7 +232,8 @@ def test_resolved_sweep_does_not_warn(tmp_path, capsys):
     assert run(["inverse", "--scattering", str(out_dir / "scattering.json"),
                 "--x-points", "41", "--collocation", "150", "--inverse-n", "5",
                 "--output-dir", str(tmp_path / "inverse")]) == 0
-    assert "x-sweep" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "x-sweep" not in err and "dropped rank" not in err
 
 
 def test_inverse_summary_reports_collocation_count(tmp_path):

@@ -28,13 +28,18 @@ from zsscatter.numerics import (
     chebyshev_derivative,
     chebyshev_points,
     chebyshev_values,
-    constrained_least_squares,
-    eliminate_constraints,
     least_squares_solve,
+    null_space_reduce,
     qr_stage_one,
     standard_chop,
 )
-from test_numerics import _gglse, _matvec_error_bound, _reference_stage_two
+from test_numerics import (
+    _aug,
+    _constrained_solve,
+    _gglse,
+    _matvec_error_bound,
+    _reference_stage_two,
+)
 
 
 def _trivial_data(n_rho=400):
@@ -219,7 +224,7 @@ class TestSweepBuffers:
         assert np.array_equal(coeffs.nodes, chebyshev_points(1.0, coeffs.nodes.size - 1))
         for j, x in enumerate(coeffs.nodes):
             C, r, E, d = inverse._FactorTables(sd, 20).assemble(float(x))
-            sol, _, _ = constrained_least_squares(C, r, E[: sd.M], d[: sd.M])
+            sol, _, _ = _constrained_solve(C, r, E[: sd.M], d[: sd.M])
             assert np.array_equal(coeffs.X[j], sol.view(float))
 
 
@@ -349,15 +354,15 @@ _MIXED = dict(candidates=(10, 25, 50, 75, 90), selection_x_points=11)
 
 def _selection_reference(sd, cfg):
     """Per candidate and node, b_0 and a_0 of a constrained solve on the
-    candidate's own half-line tables (``constrained_least_squares``, the
-    null-space method): shape (candidates, nodes, 2)."""
+    candidate's own half-line tables (the null-space kernel on all of the
+    candidate's columns): shape (candidates, nodes, 2)."""
     zero = []
     for N in sorted(cfg.candidates):
         tables = inverse._FactorTables(sd, N, cfg.selection_K, half_line=True)
         rows = []
         for x in cfg.selection_grid().nodes:
             C, r, E, d = _node_system(tables, float(x))
-            rows.append(constrained_least_squares(C, r, E, d)[0][:2])
+            rows.append(_constrained_solve(C, r, E, d)[0][:2])
         zero.append(rows)
     return np.array(zero)
 
@@ -391,30 +396,45 @@ class TestNestedSelection:
         assert {char for _, char in calls} == {"D"}
         assert ("qr", "D") not in calls
 
+    def test_each_node_factors_the_tables_buffer_in_place(self, ex1_direct, monkeypatch):
+        # the stage one of every node is the tables' [C | r] buffer itself,
+        # reduced where it lies: no copy of the reduced system is made
+        _, sd = ex1_direct
+        cfg = zs.InverseConfig(**_MIXED)
+        built = _record_tables(monkeypatch)
+        factored = []
+        original = inverse.qr_stage_one
+
+        def spy(aug):
+            factored.append(aug)
+            return original(aug)
+
+        monkeypatch.setattr(inverse, "qr_stage_one", spy)
+        select_truncation_inverse(sd, cfg)
+        assert len(built) == 1 and len(factored) == cfg.selection_x_points
+        assert all(np.shares_memory(aug, built[0]._Cr) for aug in factored)
+
     def test_candidate_columns_are_the_leading_block(self, sech_data):
         # in degree order, a candidate's complex system is the leading
         # columns of the largest candidate's, and so is its reduced system
-        # once the eigenvalue rows are eliminated on pivots among the
-        # smallest candidate's columns
+        # once the eigenvalue rows are removed on the smallest candidate's
+        # columns
         sd = sech_data
         top = inverse._FactorTables(sd, 30, 400, half_line=True)
         M, n_lead = sd.M, 2 * (7 + 1)
-        reduced_top = np.empty((2 * top.K, 2 * 31 - M + 1), complex, order="F")
         for x in (-2.0, 0.0, 1.3):
             C_top, r_top, E_top, d_top = _node_system(top, x)
-            P_top, R_top, Gg_top = eliminate_constraints(
-                C_top, r_top, E_top, d_top, n_lead, reduced_top)
-            assert np.all(P_top < n_lead) and np.all(np.diff(R_top) > 0)
+            reduced_top = _aug(C_top, r_top)
+            null_space_reduce(reduced_top, E_top, d_top, n_lead)
             for N in (7, 19, 30):
                 n = 2 * (N + 1)
                 C, r, E, d = _node_system(inverse._FactorTables(sd, N, 400, half_line=True), x)
                 assert np.array_equal(C, C_top[:, :n]) and np.array_equal(r, r_top)
                 assert np.array_equal(E, E_top[:, :n]) and np.array_equal(d, d_top)
-                reduced = np.empty((C.shape[0], n - M + 1), complex, order="F")
-                P, R, Gg = eliminate_constraints(C, r, E, d, n_lead, reduced)
-                assert np.array_equal(P, P_top) and np.array_equal(R, R_top[: n - M])
+                reduced = _aug(C, r)
+                null_space_reduce(reduced, E, d, n_lead)
                 scale = np.max(np.abs(reduced_top))
-                assert np.max(np.abs(reduced[:, :-1] - reduced_top[:, : n - M])) <= 1e-15 * scale
+                assert np.max(np.abs(reduced[:, M:n] - reduced_top[:, M:n])) <= 1e-15 * scale
                 assert np.max(np.abs(reduced[:, -1] - reduced_top[:, -1])) <= 1e-15 * scale
 
     def test_skipped_candidates_reported(self, ex1_direct):
@@ -501,9 +521,8 @@ class TestSweepKernel:
             S, t = np.vstack(rows[:2]), np.concatenate(rhs[:2])
             A, B = np.vstack([S.real, S.imag]), np.concatenate([t.real, t.imag])
             W, w = rows[2] + 1j * rows[3], rhs[2] + 1j * rhs[3]
-            X_ref, res_ref, cond_ref = constrained_least_squares(
-                np.asfortranarray(A), B, np.vstack([W.real, W.imag]),
-                np.concatenate([w.real, w.imag]))
+            X_ref, res_ref, cond_ref = _constrained_solve(
+                A, B, np.vstack([W.real, W.imag]), np.concatenate([w.real, w.imag]))
             assert np.max(np.abs(fast.X[j] - X_ref)) <= 1e-12 * np.max(np.abs(X_ref))
             # pivot ratios of pivoted QRs of two reduced systems, whose
             # null-space bases differ: estimates of one condition number
@@ -528,7 +547,7 @@ class TestSweepKernel:
         # the solves in the order they were made, the nodes in ascending order
         assert sorted(cond for _, _, (_, _, cond) in calls) == sorted(coeffs.conditions)
         for A, b, (y, res, cond) in calls:
-            factor, col_scale = qr_stage_one(A, b)
+            factor, col_scale = qr_stage_one(_aug(A, b))
             sol, cond_ref, R, _ = _reference_stage_two(factor, A.shape[1])
             y_ref = sol / col_scale
             assert cond == cond_ref
@@ -588,7 +607,7 @@ class TestConstrainedNodeSolve:
         for x in (-7.0, 0.0, 7.0):
             C, r, E, d = _node_system(tables, x)
             x_ref = _gglse(C, r, E, d)
-            sol, res, cond = constrained_least_squares(C.copy(order="F"), r, E, d)
+            sol, res, cond = _constrained_solve(C, r, E, d)
             # the reduced system's condition; the LSE solution moves by
             # n u kappa of it (Golub & Van Loan, section 6.2)
             bound = C.shape[1] * np.finfo(float).eps * cond
@@ -657,7 +676,8 @@ class TestHalfLine:
         full = inverse._FactorTables(_mirrored(sd, half), N)
         assert full.K == 2 * half.K
         for j in range(0, coeffs.nodes.size, 4):
-            sol, res, rhs_norm, _, _ = inverse._solve_node(full, float(coeffs.nodes[j]))
+            sol, res, rhs_norm, _, _ = inverse._solve_node(full, float(coeffs.nodes[j]),
+                                                           [2 * (N + 1)])[0]
             X_ref = sol.view(float)
             assert np.max(np.abs(coeffs.X[j] - X_ref)) <= 1e-12 * np.max(np.abs(X_ref))
             # each row counted once instead of twice
@@ -736,9 +756,9 @@ def _spy_nodes(monkeypatch):
     xs = []
     original = inverse._solve_node
 
-    def spy(tables, x):
+    def spy(tables, x, *args):
         xs.append(x)
-        return original(tables, x)
+        return original(tables, x, *args)
 
     monkeypatch.setattr(inverse, "_solve_node", spy)
     return xs

@@ -645,6 +645,16 @@ def _spread_system(n, log_ratio, seed, extra_rows=40, dtype=float):
     return (U * np.logspace(0.0, -log_ratio, n)) @ V.T.conj(), normal(m)
 
 
+def _aug(A, b, *others):
+    """A new column-major [A | b] in the dtype of the solve (of A, b and
+    ``others``), for the kernels to work on in place."""
+    m, n = A.shape
+    aug = np.empty((m, n + 1), np.result_type(A, b, *others, np.float64), order="F")
+    aug[:, :n] = A
+    aug[:, n] = b
+    return aug
+
+
 class TestLeastSquares:
     def test_identity(self):
         x, res, cond = least_squares_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -681,7 +691,7 @@ class TestLeastSquares:
         with pytest.raises(RankDeficient):
             least_squares_solve(np.zeros((4, 2)), np.ones(4))
         with pytest.raises(RankDeficient):
-            qr_stage_two(qr_stage_one(np.zeros((4, 2)), np.ones(4))[0], 2)
+            qr_stage_two(qr_stage_one(_aug(np.zeros((4, 2)), np.ones(4)))[0], 2)
 
     def test_zero_pivot_gives_infinite_condition_without_a_warning(self):
         rng = np.random.default_rng(12)
@@ -743,7 +753,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(81)
         A = rng.standard_normal((200, 24)) * np.logspace(-3.0, 2.0, 24)
         b = rng.standard_normal(200)
-        factor, col_scale = qr_stage_one(A, b)
+        factor, col_scale = qr_stage_one(_aug(A, b))
         for n in range(1, 25):
             x, cond, _ = qr_stage_two(factor, n)
             x_ref, _, cond_ref = least_squares_solve(A[:, :n], b)
@@ -755,7 +765,7 @@ class TestLeastSquares:
         A = rng.standard_normal((200, 24))
         A[:, 16] = 2.0 * A[:, 3] + 10.0**-10.5 * rng.standard_normal(200)
         b = rng.standard_normal(200)
-        factor, col_scale = qr_stage_one(A, b)
+        factor, col_scale = qr_stage_one(_aug(A, b))
         for n in range(1, 17):
             x, _, _ = qr_stage_two(factor, n)
             np.testing.assert_allclose(x / col_scale[:n], least_squares_solve(A[:, :n], b)[0],
@@ -785,7 +795,7 @@ class TestLeastSquares:
         for n in (1, 2, 3, 8, 31, 64, 127, 200, 250):
             for log_ratio in (0.0, 4.0, 8.0, 9.1, 9.5, 10.0, 10.5):
                 A, b = _spread_system(n, log_ratio, seed=1000 * n + int(10 * log_ratio))
-                factor, _ = qr_stage_one(A, b)
+                factor, _ = qr_stage_one(_aug(A, b))
                 ref = _reference_stage_two(factor, n)
                 raw.clear()
                 x, cond, _ = qr_stage_two(factor, n)
@@ -836,21 +846,33 @@ class TestLeastSquares:
                 assert np.array_equal(perm, perm_ref), (n, dtype)
 
     def test_stage_one_takes_a_as_laid_out(self):
-        # stage one sums the column norms in A's memory order: it does not
-        # copy A into the row-major layout the solves take
+        # stage one factors the caller's column-major [A | b] where it lies,
+        # its column norms summed down each column: no copy of the buffer
         A, b = _spread_system(60, 3.0, seed=39, extra_rows=500)
-        F = np.asfortranarray(A)
-        assert not np.array_equal(np.sqrt(np.add.reduce(A * A, axis=0)),
-                                  np.sqrt(np.add.reduce(F * F, axis=0)))
-        for other in (A, F):
-            _, col_scale = qr_stage_one(other, b)
-            assert np.array_equal(col_scale, np.sqrt(np.add.reduce(other * other, axis=0)))
+        for dtype in (float, complex):
+            aug = _aug(A.astype(dtype), b)
+            F = aug[:, :-1].copy(order="F")
+            factor, col_scale = qr_stage_one(aug)
+            assert factor.shape == aug.shape and factor.ctypes.data == aug.ctypes.data
+            assert np.array_equal(col_scale, np.linalg.norm(F, axis=0))
 
     def test_stage_one_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):
-            qr_stage_one(np.array([[1.0], [np.nan]]), np.ones(2))
+            qr_stage_one(np.asfortranarray([[1.0, 1.0], [np.nan, 1.0]]))
         with pytest.raises(ValueError, match="m >= n"):
-            qr_stage_one(np.ones((2, 3)), np.ones(2))
+            qr_stage_one(np.ones((2, 4), order="F"))
+
+    def test_stage_one_refuses_to_factor_a_copy(self):
+        # a buffer LAPACK cannot factor where it lies is refused, since the
+        # factor would land in a copy the caller never sees
+        A, b = _spread_system(6, 1.0, seed=41)
+        aug = _aug(A, b)
+        for bad in (np.ascontiguousarray(aug), aug.astype(np.float32),
+                    aug.astype(np.complex64), aug.astype(int), aug[::2]):
+            before = bad.copy()
+            with pytest.raises(ValueError, match="column-major float64 or complex128"):
+                qr_stage_one(bad)
+            assert np.array_equal(bad, before)
 
     def test_square_system(self):
         rng = np.random.default_rng(30)
@@ -912,8 +934,9 @@ class TestLeastSquares:
                    (duplicate, rng.standard_normal(70).astype(dtype))]
         dropped = []
         for A, b in systems:
-            fixed = np.asfortranarray(A) if dtype is complex else A
-            factor, col_scale = qr_stage_one(fixed, b)
+            # the solve factors a column-major copy of A
+            fixed = np.asfortranarray(A)
+            factor, col_scale = qr_stage_one(_aug(A, b))
             n = A.shape[1]
             # stage two is the explicit-Q reference on the same triangle:
             # the same pivots and rank decision, x to rounding
@@ -971,7 +994,7 @@ class TestComplexLeastSquares:
         A = (rng.standard_normal((150, 20)) + 1j * rng.standard_normal((150, 20))) \
             * np.logspace(-3.0, 2.0, 20)
         b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
-        factor, col_scale = qr_stage_one(A, b)
+        factor, col_scale = qr_stage_one(_aug(A, b))
         assert factor.dtype == complex
         for n in range(1, 21):
             x, cond, _ = qr_stage_two(factor, n)
@@ -1006,7 +1029,7 @@ class TestComplexLeastSquares:
         A = np.ones((5, 2), dtype=complex)
         A[2, 1] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="finite"):
-            qr_stage_one(A, np.ones(5))
+            qr_stage_one(_aug(A, np.ones(5)))
         with pytest.raises(ValueError, match="finite"):
             least_squares_solve(np.ones((5, 2)), np.full(5, complex(np.inf, 0.0)))
 
@@ -1049,7 +1072,25 @@ def _gglse(A, b, E, d):
     return x
 
 
+def _constrained_solve(A, b, E, d, n_lead=None):
+    """min ||Ax - b|| subject to E x = d as the inverse solves take it:
+    ``null_space_reduce`` on a column-major copy of [A | b] with the leading
+    ``n_lead`` columns (all by default), the two stages on the reduced
+    system, then ``expand``.  Returns (x, residual, cond)."""
+    p, n = E.shape
+    aug = _aug(A, b, E, d)
+    expand = numerics.null_space_reduce(aug, E, d, n if n_lead is None else n_lead)
+    factor, col_scale = qr_stage_one(aug[:, p:])
+    z, cond, dropped = qr_stage_two(factor, n - p)
+    z /= col_scale
+    residual = abs(factor[n - p, -1]) if aug.shape[0] > n - p else 0.0
+    return expand(z), float(np.hypot(residual, dropped)), cond
+
+
 class TestConstrainedLeastSquares:
+    """The null-space kernel ``null_space_reduce`` on all columns
+    (``n_lead = n``), as the sweep takes it, with the two-stage solve."""
+
     @pytest.mark.parametrize("dtype", [complex, float])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_gglse(self, seed, dtype):
@@ -1059,8 +1100,7 @@ class TestConstrainedLeastSquares:
         m, n, p = 60, 12, 1 + seed % 4
         A, b, E, d = _lse_system(m, n, p, seed, dtype)
         x_ref = _gglse(A, b, E, d)
-        work = np.asfortranarray(A.copy())
-        x, res, cond = numerics.constrained_least_squares(work, b, E, d)
+        x, res, cond = _constrained_solve(A, b, E, d)
         assert x.dtype == np.result_type(A, np.float64)
         bound = n * np.finfo(float).eps * cond
         assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
@@ -1068,136 +1108,150 @@ class TestConstrainedLeastSquares:
         defect = np.abs(E @ x - d) / (np.abs(E) @ np.abs(x) + np.abs(d))
         assert defect.max() <= 1e-12
 
+    @pytest.mark.parametrize("n_lead", [8, 5])
+    def test_reduced_system_is_the_trailing_columns(self, n_lead):
+        # for any z on the leading columns of aug[:, p:n], x = expand(z)
+        # holds the constraints and leaves the residual of the reduced
+        # system: A x - b = aug[:, p:k] z - aug[:, n], both to rounding
+        m, n, p = 30, 8, 3
+        A, b, E, d = _lse_system(m, n, p, 3)
+        aug = _aug(A, b)
+        expand = numerics.null_space_reduce(aug, E, d, n_lead)
+        rng = np.random.default_rng(3)
+        for k in range(n_lead, n + 1):
+            z = rng.standard_normal(k - p) + 1j * rng.standard_normal(k - p)
+            x = expand(z)
+            assert x.size == k
+            defect = np.abs(E[:, :k] @ x - d) / (np.abs(E[:, :k]) @ np.abs(x) + np.abs(d))
+            assert defect.max() <= 1e-12
+            reduced = aug[:, p:k] @ z - aug[:, n]
+            assert np.max(np.abs(A[:, :k] @ x - b - reduced)) <= 1e-12 * np.max(np.abs(reduced))
+
     def test_overwrites_a_only(self):
-        A, b, E, d = _lse_system(30, 8, 2, 1)
-        work = np.asfortranarray(A.copy())
-        copies = [b.copy(), E.copy(), d.copy()]
-        numerics.constrained_least_squares(work, b, E, d)
-        assert not np.array_equal(work, A)
-        for kept, before in zip((b, E, d), copies):
-            assert np.array_equal(kept, before)
+        # the buffer [A | b] is reduced in place; E and d are not touched,
+        # also for one constraint row, which is column-major already
+        for p in (1, 2):
+            A, b, E, d = _lse_system(30, 8, p, 1)
+            aug = _aug(A, b)
+            copies = [E.copy(), d.copy()]
+            numerics.null_space_reduce(aug, E, d, 8)
+            assert not np.array_equal(aug[:, :-1], A) and not np.array_equal(aug[:, -1], b)
+            for kept, before in zip((E, d), copies):
+                assert np.array_equal(kept, before)
 
     def test_no_constraints_is_the_least_squares_solve(self):
         A, b, E, d = _lse_system(30, 8, 0, 2)
-        got = numerics.constrained_least_squares(np.asfortranarray(A), b, E, d)
+        aug = _aug(A, b)
+        expand = numerics.null_space_reduce(aug, E, d, 8)
+        assert np.array_equal(aug, _aug(A, b))
+        z = np.ones(8, complex)
+        assert expand(z) is z
+        got = _constrained_solve(A, b, E, d)
         want = least_squares_solve(A, b)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-
-    def test_reduced_solve_goes_through_the_given_solver(self):
-        A, b, E, d = _lse_system(30, 8, 3, 3)
-        seen = []
-
-        def solve(A2, b2):
-            seen.append(A2.shape)
-            return least_squares_solve(A2, b2)
-
-        numerics.constrained_least_squares(np.asfortranarray(A), b, E, d, solve=solve)
-        assert seen == [(30, 5)]
 
     def test_dependent_constraints_raise(self):
         A, b, E, d = _lse_system(30, 8, 2, 4)
         twice = np.vstack([E, 1e6 * E[:1]])
         with pytest.raises(RankDeficient, match="dependent"):
-            numerics.constrained_least_squares(
-                np.asfortranarray(A), b, twice, np.append(d, 1e6 * d[0]))
+            numerics.null_space_reduce(_aug(A, b), twice, np.append(d, 1e6 * d[0]), 8)
         with pytest.raises(RankDeficient, match="9 constraints on 8 unknowns"):
-            numerics.constrained_least_squares(
-                np.asfortranarray(A), b, np.ones((9, 8), complex), np.ones(9, complex))
+            numerics.null_space_reduce(_aug(A, b), np.ones((9, 8), complex),
+                                       np.ones(9, complex), 8)
 
     def test_a_must_be_column_major_in_the_solve_dtype(self):
+        # the reduction works in place, which a row-major buffer or one of
+        # another dtype would silently lose
         A, b, E, d = _lse_system(30, 8, 2, 5)
-        for bad in (np.ascontiguousarray(A), np.asfortranarray(A.real)):
+        for bad in (np.ascontiguousarray(_aug(A, b)), _aug(A.real, b.real)):
             with pytest.raises(ValueError, match="column-major"):
-                numerics.constrained_least_squares(bad, b, E, d)
-
-
-def _eliminated_solve(A, b, E, d, n_lead):
-    """min ||Ax - b|| subject to E x = d by direct elimination: the reduced
-    system's two-stage solve, then the pivot unknowns.  Returns (x, cond)."""
-    m, n = A.shape
-    p = E.shape[0]
-    out = np.empty((m, n - p + 1), np.result_type(A, E, np.float64), order="F")
-    P, R, Gg = numerics.eliminate_constraints(A, b, E, d, n_lead, out)
-    y, _, cond = least_squares_solve(out[:, :-1], out[:, -1])
-    x = np.empty(n, out.dtype)
-    x[R] = y
-    x[P] = numerics.pivot_unknowns(Gg, y)
-    return x, cond
+                numerics.null_space_reduce(bad, E, d, 8)
 
 
 class TestDirectElimination:
+    """The same kernel on fewer leading columns (``n_lead < n``), as the
+    nested selection takes it: the constraints are removed through the
+    leading unknowns, and the trailing ones are eliminated directly,
+    A2 -= (A Q)1 G and b -= (A Q)1 g."""
+
     @pytest.mark.parametrize("dtype", [complex, float])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_gglse(self, seed, dtype):
         # the constrained minimizer of LAPACK's generalized-RQ solve, within
         # 10 n u kappa of the reduced system (the factor 10 leaves room for
-        # the LU solve with E_P, on pivot columns chosen by a pivoted QR of
-        # the unit-norm rows); the constraints hold to rounding relative to
-        # |E| |x| + |d|
+        # the triangular solve [G | g] = R^-H [E2 | d]); the constraints
+        # hold to rounding relative to |E| |x| + |d|
         m, n, p = 60, 12, 1 + seed % 4
         A, b, E, d = _lse_system(m, n, p, seed, dtype)
         x_ref = _gglse(A, b, E, d)
-        x, cond = _eliminated_solve(A, b, E, d, n)
+        x, res, cond = _constrained_solve(A, b, E, d, p + seed % 3)
         assert x.dtype == np.result_type(A, np.float64)
         bound = 10.0 * n * np.finfo(float).eps * cond
         assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
+        assert res == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-10)
         defect = np.abs(E @ x - d) / (np.abs(E) @ np.abs(x) + np.abs(d))
         assert defect.max() <= 1e-12
 
     def test_leading_columns_reduce_to_leading_columns(self):
-        # pivots among the first n_lead columns: the problem on A's leading
-        # n' columns reduces to the leading n' - p columns of the reduced system
+        # the problem on A's leading k >= n_lead columns reduces to the
+        # leading k - p columns of the whole problem's reduced system, with
+        # the same right-hand side, and its solution expands to the same x
         m, n, p, n_lead = 50, 16, 3, 6
         A, b, E, d = _lse_system(m, n, p, 7)
-        out = np.empty((m, n - p + 1), complex, order="F")
-        P, R, Gg = numerics.eliminate_constraints(A, b, E, d, n_lead, out)
-        assert np.all(P < n_lead) and np.array_equal(R, np.setdiff1d(np.arange(n), P))
+        aug = _aug(A, b)
+        expand = numerics.null_space_reduce(aug, E, d, n_lead)
+        scale = np.max(np.abs(aug))
         for k in range(n_lead, n + 1):
-            part = np.empty((m, k - p + 1), complex, order="F")
-            P_k, R_k, Gg_k = numerics.eliminate_constraints(A[:, :k], b, E[:, :k], d, n_lead, part)
-            assert np.array_equal(P_k, P) and np.array_equal(R_k, R[: k - p])
-            scale = np.max(np.abs(out))
-            assert np.max(np.abs(part[:, :-1] - out[:, : k - p])) <= 1e-14 * scale
-            assert np.max(np.abs(part[:, -1] - out[:, -1])) <= 1e-14 * scale
-            np.testing.assert_allclose(Gg_k[:, :-1], Gg[:, : k - p], rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(Gg_k[:, -1], Gg[:, -1], rtol=1e-13, atol=0.0)
+            part = _aug(A[:, :k], b)
+            expand_k = numerics.null_space_reduce(part, E[:, :k], d, n_lead)
+            assert np.max(np.abs(part[:, p:k] - aug[:, p:k])) <= 1e-14 * scale
+            assert np.max(np.abs(part[:, k] - aug[:, n])) <= 1e-14 * scale
+            lead = np.column_stack([aug[:, p:k], aug[:, n]]).copy(order="F")
+            factor, col_scale = qr_stage_one(lead)
+            z = qr_stage_two(factor, k - p)[0] / col_scale
+            x_ref = _constrained_solve(A[:, :k], b, E[:, :k], d, n_lead)[0]
+            for x in (expand(z), expand_k(z)):
+                assert x.size == k
+                np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(x_ref)))
 
     def test_inputs_are_not_overwritten(self):
-        # one constraint row is column-major already: its pivoted QR must
-        # work on a copy
+        # one constraint row is column-major already: its QR must work on a
+        # copy; A and b enter through their own [A | b] buffer
         A, b, E, d = _lse_system(30, 8, 1, 8)
         copies = [v.copy() for v in (A, b, E, d)]
-        _eliminated_solve(A, b, E, d, 8)
+        _constrained_solve(A, b, E, d, 4)
         for kept, before in zip((A, b, E, d), copies):
             assert np.array_equal(kept, before)
 
     def test_no_constraints_is_the_least_squares_solve(self):
         A, b, E, d = _lse_system(30, 8, 0, 2)
-        out = np.empty((30, 9), complex, order="F")
-        P, R, Gg = numerics.eliminate_constraints(A, b, E, d, 4, out)
-        assert P.size == 0 and np.array_equal(R, np.arange(8)) and Gg.shape == (0, 9)
-        assert np.array_equal(out[:, :-1], A) and np.array_equal(out[:, -1], b)
-        assert numerics.pivot_unknowns(Gg, np.ones(8, complex)).size == 0
+        aug = _aug(A, b)
+        expand = numerics.null_space_reduce(aug, E, d, 4)
+        assert np.array_equal(aug, _aug(A, b))
+        z = np.ones(8, complex)
+        assert expand(z) is z
+        got = _constrained_solve(A, b, E, d, 4)
+        want = least_squares_solve(A, b)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
     def test_dependent_constraints_raise(self):
         A, b, E, d = _lse_system(30, 8, 2, 4)
-        out = np.empty((30, 7), complex, order="F")
         twice = np.vstack([E, 1e6 * E[:1]])
         with pytest.raises(RankDeficient, match="dependent"):
-            numerics.eliminate_constraints(A, b, twice, np.append(d, 1e6 * d[0]), 8, out[:, :6])
+            numerics.null_space_reduce(_aug(A, b), twice, np.append(d, 1e6 * d[0]), 4)
         with pytest.raises(RankDeficient, match="3 constraints on 2 unknowns"):
-            numerics.eliminate_constraints(A, b, twice, np.append(d, d[0]), 2, out[:, :6])
+            numerics.null_space_reduce(_aug(A, b), twice, np.append(d, d[0]), 2)
         # independent rows, dependent on the leading columns
         E[:, :2] = 0.0
         with pytest.raises(RankDeficient, match="dependent"):
-            numerics.eliminate_constraints(A, b, E, d, 2, out)
+            numerics.null_space_reduce(_aug(A, b), E, d, 2)
 
     def test_out_must_be_column_major(self):
         # the gemm writes the reduced system in place, which a row-major
-        # out would silently lose
+        # buffer would silently lose
         A, b, E, d = _lse_system(30, 8, 2, 5)
         with pytest.raises(ValueError, match="column-major"):
-            numerics.eliminate_constraints(A, b, E, d, 8, np.empty((30, 7), complex))
+            numerics.null_space_reduce(np.ascontiguousarray(_aug(A, b)), E, d, 4)
 
 
 class TestChebyshev:
